@@ -105,7 +105,7 @@ impl RunControl {
 
 /// A progress hook that records the wall-clock duration of each descent step
 /// into `histogram` — the building block behind the serve layer's per-step
-/// job histograms and the bench suite's instrumentation-overhead contrast.
+/// job histograms.
 ///
 /// Timing lives entirely inside the callback (the caller's layer), never in
 /// the descent itself: the step loop is identical with or without the hook,

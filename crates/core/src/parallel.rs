@@ -10,18 +10,19 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Apply `f` to every item of `items` on up to
-/// [`std::thread::available_parallelism`] scoped worker threads, returning
+/// Apply `f` to every item of `items` on up to [`max_workers`] scoped worker
+/// threads (the `FAIR_THREADS`-overridable machine parallelism), returning
 /// the results in input order.
 ///
 /// Work is claimed dynamically (one atomic fetch-add per item), so uneven
 /// per-item costs — e.g. DCA runs whose sample size grows with `1/k` — still
-/// balance. With zero or one item, or on a single-core machine, `f` runs on
+/// balance. With zero or one item, or a one-worker ceiling, `f` runs on
 /// the calling thread. `f` must be [`Sync`] because multiple workers share
 /// it; per-item mutable state (scratch buffers, RNGs) belongs inside `f`.
 ///
 /// # Panics
-/// Propagates the panic of any worker once all threads have been joined.
+/// Once every worker has been joined, re-raises the first panicking worker's
+/// own payload, so the caller sees the original message.
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -53,23 +54,34 @@ where
     // The inline path above runs on the calling thread, where the handle is
     // already installed.
     let profile = crate::obs::profile::current();
-    std::thread::scope(|scope| {
+    // Every handle is joined by hand: a thread the scope joins itself makes
+    // it re-panic with a generic message, dropping the worker's payload.
+    let panicked = std::thread::scope(|scope| {
         let (next, slots, f) = (&next, &slots, &f);
-        for _ in 0..workers {
-            let profile = profile.clone();
-            scope.spawn(move || {
-                let _profile_guard = profile.map(crate::obs::profile::install);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let profile = profile.clone();
+                scope.spawn(move || {
+                    let _profile_guard = profile.map(crate::obs::profile::install);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let result = f(&items[i]);
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
                     }
-                    let result = f(&items[i]);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().err())
+            .reduce(|first, _| first)
     });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|slot| {

@@ -10,8 +10,6 @@
 //! Optimization* (2017 revision), including bias correction of the first and
 //! second moment estimates.
 
-use crate::Step;
-
 /// Hyper-parameters for [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
@@ -87,15 +85,23 @@ impl Adam {
         self.config
     }
 
-    /// Number of steps taken since construction or the last [`Step::reset`].
+    /// Number of steps taken since construction or the last
+    /// [`reset`](Self::reset).
     #[must_use]
     pub fn steps_taken(&self) -> u64 {
         self.t
     }
-}
 
-impl Step for Adam {
-    fn step(&mut self, params: &mut [f64], direction: &[f64]) {
+    /// Apply one update of `params` against `direction`.
+    ///
+    /// In classic optimization the direction is the gradient; in DCA it is
+    /// the (sampled) disparity vector, which is not a gradient but plays the
+    /// same role: parameters are moved *against* it.
+    ///
+    /// # Panics
+    /// Panics if `params` or `direction` differ in length from the
+    /// dimensionality the optimizer was constructed with.
+    pub fn step(&mut self, params: &mut [f64], direction: &[f64]) {
         assert_eq!(
             params.len(),
             self.m.len(),
@@ -128,11 +134,15 @@ impl Step for Adam {
         }
     }
 
-    fn dims(&self) -> usize {
+    /// Dimensionality this optimizer was constructed for.
+    #[must_use]
+    pub fn dims(&self) -> usize {
         self.m.len()
     }
 
-    fn reset(&mut self) {
+    /// Reset the moment estimates and step counter so the optimizer can be
+    /// reused for a fresh run.
+    pub fn reset(&mut self) {
         self.m.iter_mut().for_each(|x| *x = 0.0);
         self.v.iter_mut().for_each(|x| *x = 0.0);
         self.t = 0;

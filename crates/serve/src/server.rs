@@ -214,13 +214,6 @@ pub struct AuditService {
     pub partials_cache_hits: AtomicU64,
     /// Request-path registry handles (see [`ServeObs`]).
     obs: ServeObs,
-    /// How long a rendered `/metrics` body stays servable (milliseconds).
-    /// `0` (the default) renders fresh per scrape; `FAIR_SCRAPE_CACHE_MS`
-    /// sets it at construction for deployments where several scrapers (or a
-    /// tight-interval one) would otherwise pay the full render each time.
-    scrape_cache_ms: u64,
-    /// The last rendered exposition body and when it was rendered.
-    scrape_cache: Mutex<Option<(Instant, String)>>,
 }
 
 impl Default for AuditService {
@@ -231,11 +224,6 @@ impl Default for AuditService {
             sample_cache: Mutex::new(SampleCache::default()),
             partials_cache_hits: AtomicU64::new(0),
             obs: ServeObs::default(),
-            scrape_cache_ms: std::env::var("FAIR_SCRAPE_CACHE_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(0),
-            scrape_cache: Mutex::new(None),
         }
     }
 }
@@ -247,21 +235,9 @@ impl AuditService {
         Arc::new(Self::default())
     }
 
-    /// An empty service whose `/metrics` body is cached for `ms`
-    /// milliseconds per render, regardless of `FAIR_SCRAPE_CACHE_MS` —
-    /// deterministic for tests and embedders.
-    #[must_use]
-    pub fn with_scrape_cache_ms(ms: u64) -> Arc<Self> {
-        Arc::new(Self {
-            scrape_cache_ms: ms,
-            ..Self::default()
-        })
-    }
-
-    /// Dispatch one parsed request. Public so tests (and the in-process
-    /// perf harness) can exercise routing without sockets. In-process calls
-    /// land in the same per-route counters and latency histograms as
-    /// socket-served traffic.
+    /// Dispatch one parsed request. Public so tests can exercise routing
+    /// without sockets. In-process calls land in the same per-route counters
+    /// and latency histograms as socket-served traffic.
     #[must_use]
     pub fn route(&self, req: &Request) -> (u16, Json) {
         let start = Instant::now();
@@ -274,32 +250,10 @@ impl AuditService {
     }
 
     /// The process-wide [`fair_core::obs`] registry rendered in Prometheus
-    /// text exposition format, always freshly rendered.
+    /// text exposition format: the body `GET /metrics` serves.
     #[must_use]
     pub fn metrics_text(&self) -> String {
         obs::render_prometheus()
-    }
-
-    /// The body `GET /metrics` serves: a fresh render, unless a previous
-    /// render is younger than the configured snapshot window
-    /// (`FAIR_SCRAPE_CACHE_MS` / [`with_scrape_cache_ms`](Self::with_scrape_cache_ms)),
-    /// in which case the cached body is returned byte-identically. A window
-    /// of `0` (the default) bypasses the cache entirely.
-    #[must_use]
-    pub fn metrics_text_cached(&self) -> String {
-        if self.scrape_cache_ms == 0 {
-            return self.metrics_text();
-        }
-        let window = Duration::from_millis(self.scrape_cache_ms);
-        let mut cache = self.scrape_cache.lock().expect("scrape cache poisoned");
-        if let Some((rendered_at, body)) = cache.as_ref() {
-            if rendered_at.elapsed() < window {
-                return body.clone();
-            }
-        }
-        let body = self.metrics_text();
-        *cache = Some((Instant::now(), body.clone()));
-        body
     }
 
     /// Count and time one dispatched request under its route template.
@@ -1283,11 +1237,9 @@ fn handle_connection(service: &AuditService, conn: &TcpStream, stop: &AtomicBool
             if req.method == "GET" && req.path == "/metrics" {
                 // Rendered before the route observation lands, so a scrape
                 // reports every *previous* scrape but not itself — the price
-                // of an honest render-cost histogram. (Cache hits land in
-                // the same histogram: the observed latency distribution is
-                // what scrapers actually experienced.)
+                // of an honest render-cost histogram.
                 let start = Instant::now();
-                let text = service.metrics_text_cached();
+                let text = service.metrics_text();
                 service.observe_route("GET /metrics", 200, start);
                 span.field("status", 200_u16).close();
                 let _ = write_text_response(conn, 200, &text);
@@ -1433,28 +1385,6 @@ mod tests {
             text.contains(r#"fair_serve_request_duration_us_count{route="GET /health"}"#),
             "{text}"
         );
-    }
-
-    #[test]
-    fn scrape_cache_serves_one_render_per_window() {
-        // A wide window: the second scrape must be the byte-identical cached
-        // body even though fresh traffic landed in the registry in between.
-        let service = AuditService::with_scrape_cache_ms(600_000);
-        let first = service.metrics_text_cached();
-        let _ = service.route(&request("GET", "/health", ""));
-        let second = service.metrics_text_cached();
-        assert_eq!(first, second, "within the window the cached body serves");
-        // A fresh render does see the new traffic.
-        assert_ne!(
-            service.metrics_text(),
-            second,
-            "an uncached render reflects the /health hit the cache hides"
-        );
-        // Window 0 (the default) bypasses the cache entirely.
-        let live = AuditService::new();
-        let a = live.metrics_text_cached();
-        let _ = live.route(&request("GET", "/health", ""));
-        assert_ne!(a, live.metrics_text_cached(), "0 disables the cache");
     }
 
     #[test]

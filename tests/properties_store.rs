@@ -8,6 +8,8 @@
 //!    trajectory computed over the `ShardStore` equals the in-memory
 //!    `ShardedDataset` result bit for bit, which in turn equals the serial
 //!    single-`Dataset` path (dyadic-grid data, see `properties_shard.rs`).
+//!    A paged Core DCA descent run with a progress hook and a phase profile
+//!    installed equals the plain in-memory descent.
 //! 3. **Corruption** — wrong magic, truncated directories, and flipped data
 //!    bytes are structured errors, never panics and never mis-decodes.
 //! 4. **Bounded memory (acceptance)** — evaluating a cohort through a cache
@@ -180,7 +182,10 @@ proptest! {
         }
 
         // Core DCA with per-shard sampling draws the same seed-split streams
-        // regardless of the storage backend.
+        // regardless of the storage backend — and regardless of the
+        // instrumentation a served job carries: the paged side runs under a
+        // step-timing progress hook with a phase profile installed, as the
+        // job manager runs it, and still matches the plain in-memory run.
         let core_cfg = DcaConfig {
             sample_size: 30,
             learning_rates: vec![4.0],
@@ -191,9 +196,27 @@ proptest! {
         };
         let mem_core =
             run_core_dca_sharded(&mem, &ranker, &objective, &core_cfg, None, false).unwrap();
-        let store_core =
-            run_core_dca_sharded(&store, &ranker, &objective, &core_cfg, None, false).unwrap();
+        let step_us = fair_ranking::core::obs::histogram("properties_store_core_step_us", &[]);
+        let timed_before = step_us.count();
+        let step_timer = step_duration_hook(step_us.clone());
+        let profile = fair_ranking::core::obs::JobProfile::new();
+        let hook_profile = profile.clone();
+        let control = RunControl::with_progress(move |p| {
+            step_timer(p);
+            hook_profile.end_step(p.step);
+        });
+        let store_core = {
+            let _installed = fair_ranking::core::obs::profile::install(profile.clone());
+            run_core_dca_sharded_controlled(
+                &store, &ranker, &objective, &core_cfg, None, false, &control,
+            )
+            .unwrap()
+        };
         prop_assert_eq!(&bits(&mem_core.bonus), &bits(&store_core.bonus));
+        prop_assert_eq!(mem_core.steps, store_core.steps);
+        prop_assert_eq!(mem_core.objects_scored, store_core.objects_scored);
+        prop_assert_eq!(step_us.count() - timed_before, store_core.steps as u64);
+        prop_assert_eq!(profile.steps().len(), store_core.steps);
         std::fs::remove_file(path).ok();
     }
 }
