@@ -7,8 +7,7 @@
 //! `f64` slices instead of chasing one heap allocation per object, which is
 //! what makes the per-step cost truly sample-bounded in practice
 //! (Section IV-D). Rows are exposed through the zero-copy
-//! [`ObjectView`](crate::object::ObjectView); the owned
-//! [`DataObject`](crate::object::DataObject) remains the construction-time
+//! [`ObjectView`]; the owned [`DataObject`] remains the construction-time
 //! input type.
 
 use crate::attributes::SchemaRef;

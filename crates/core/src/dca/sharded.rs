@@ -11,8 +11,28 @@
 //!   shard samples its own rows with an RNG stream split deterministically
 //!   off the step seed ([`crate::shard::shard_seed`]), so shards can sample
 //!   independently — the building block for distributed DCA, where no node
-//!   ever sees another node's rows. The sampled rows are gathered into a
-//!   reused scratch block and evaluated with the ordinary [`Objective`]s.
+//!   ever sees another node's rows. The sampled rows are gathered into
+//!   reused scratch blocks and evaluated with the ordinary [`Objective`]s.
+//!
+//! ## Windowed gathers
+//!
+//! A step's sample depends only on `(config.seed, step)`, so the rows of
+//! many steps are known before the first of them runs. The one Core-DCA
+//! driver, [`run_core_dca_gathered`], therefore works a **window** of steps
+//! at a time: it draws the window's step seeds, has the caller fill one
+//! staging block per step in a single call, and then runs the steps in order
+//! on those blocks. [`run_core_dca_sharded`] fills a window with one
+//! ascending pass over the shards, lending each shard the window touches
+//! once and appending each step's run of rows to that step's block.
+//!
+//! On a [paged](crate::shard::ShardSource::paged) source the window is
+//! `max(1, shard_size / sample_size)` steps (capped at the steps left), so
+//! the staged rows never exceed one shard's and a descent pages each shard
+//! in about once per window instead of once per step. In-memory sources
+//! keep a window of one: there is no page-in to save, and staged blocks
+//! would fall out of cache. The window never changes the result: seeds are
+//! drawn in step order and every block holds its step's rows in the order a
+//! step-at-a-time gather produces, so trajectories are bit-identical.
 //!
 //! The sampled variant draws a *different* (but equally distributed,
 //! seed-deterministic) sample stream than the serial
@@ -226,6 +246,12 @@ where
 /// progress report after every completed step. Never-cancelled runs draw the
 /// identical seeded sample stream and produce the bit-identical trajectory.
 ///
+/// A [paged](ShardSource::paged) source gathers a window of
+/// `max(1, shard_size / sample_size)` steps at a time, so the window's
+/// staged samples never hold more than one shard's rows; every other source
+/// gathers step by step. Either way each step sees the same rows in the same
+/// order (see the module docs).
+///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, objective
 /// failures, or [`FairError::Cancelled`] when `control` is cancelled mid-run.
@@ -244,7 +270,14 @@ where
     R: Ranker + ?Sized,
     O: Objective + ?Sized,
 {
-    let mut sample_indices = Vec::new();
+    // In memory a shard costs nothing to revisit, and staging many steps
+    // only pushes their blocks out of cache.
+    let window = if data.paged() {
+        (data.shard_size() / config.sample_size.max(1)).max(1)
+    } else {
+        1
+    };
+    let mut samples: Vec<Vec<usize>> = Vec::new();
     run_core_dca_gathered(
         data.schema(),
         data.len(),
@@ -254,40 +287,72 @@ where
         initial,
         trace,
         control,
-        |step_seed, gather| {
-            // One sample-phase scope per step covers the draw and the
-            // shard-run gather; page-ins it triggers open nested scopes that
+        window,
+        |step_seeds, blocks| {
+            // One sample-phase scope per window covers the draws and the
+            // shard pass; page-ins it triggers open nested scopes that
             // subtract themselves from this one on the same thread.
             let _sample = crate::obs::profile::scope(crate::obs::Phase::Sample);
-            data.sample_indices_into(step_seed, config.sample_size, &mut sample_indices)?;
-            // The sample comes back grouped by shard, so each run of indices
-            // pages its shard in exactly once (a cache hit per run for the
-            // in-memory source, one decode per run for a paged store).
-            crate::shard::for_each_shard_run(
-                data,
-                &sample_indices,
-                |&g| g / data.shard_size(),
-                |view, run| {
-                    let d = view.data();
-                    for &g in run {
-                        gather.push_row(d.row(g - view.offset()));
-                    }
-                },
-            );
+            samples.resize_with(step_seeds.len(), Vec::new);
+            for (&seed, indices) in step_seeds.iter().zip(&mut samples) {
+                data.sample_indices_into(seed, config.sample_size, indices)?;
+            }
+            gather_rows_by_shard(data, &samples, blocks);
             Ok(())
         },
     )
 }
 
-/// The one Core-DCA descent loop over a caller-supplied **gather step**: the
-/// master RNG emits one `step_seed` per step, `gather_step` fills the cleared
-/// scratch dataset with that step's sample rows, and the ordinary sampled
-/// [`Objective`] is evaluated on the gathered block. The local sharded runner
+/// Append every step's sampled rows to that step's block in **one
+/// ascending pass over the shards**. Each sample comes back grouped by shard
+/// in ascending shard order, so visiting the shards in that order and taking
+/// each step's run of rows in turn calls [`ShardSource::with_shard`] once
+/// per shard the window touches, and leaves each block's rows in the order a
+/// step-at-a-time gather would produce.
+fn gather_rows_by_shard<S: ShardSource + ?Sized>(
+    data: &S,
+    samples: &[Vec<usize>],
+    blocks: &mut [Dataset],
+) {
+    let shard_size = data.shard_size();
+    let mut cursors = vec![0_usize; samples.len()];
+    loop {
+        let next = samples
+            .iter()
+            .zip(cursors.iter())
+            .filter_map(|(sample, &at)| sample.get(at))
+            .map(|&g| g / shard_size)
+            .min();
+        let Some(shard) = next else { return };
+        data.with_shard(shard, |view| {
+            let rows = view.data();
+            for ((sample, at), block) in samples.iter().zip(cursors.iter_mut()).zip(&mut *blocks) {
+                let run = sample[*at..]
+                    .iter()
+                    .take_while(|&&g| g / shard_size == shard)
+                    .count();
+                for &g in &sample[*at..*at + run] {
+                    block.push_row(rows.row(g - view.offset()));
+                }
+                *at += run;
+            }
+        });
+    }
+}
+
+/// The one Core-DCA descent loop over a caller-supplied **window gather**:
+/// the master RNG emits one step seed per step, `gather_window` receives the
+/// seeds of the next `window` steps (fewer for the last window) together
+/// with as many cleared, reused staging blocks and fills block `i` with step
+/// `i`'s sample rows, and each step then evaluates the ordinary sampled
+/// [`Objective`] on its block in place. Cancellation is checked and progress
+/// reported once per step, never per window. The local sharded runner
 /// ([`run_core_dca_sharded`]) and distributed coordinators both execute
-/// exactly this driver, differing only in where the gather fetches rows —
-/// which is why a coordinator that concatenates each worker's
-/// [`crate::shard::sample_indices_range_into`] slice in ascending shard order
-/// reproduces the local trajectory bit for bit.
+/// exactly this driver, differing only in where the gather fetches rows and
+/// how many steps it fetches at once. The seeds, and so the samples, do not
+/// depend on `window`, which is why a coordinator that concatenates each
+/// worker's [`crate::shard::sample_indices_range_into`] slice in ascending
+/// shard order reproduces the local trajectory bit for bit.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty cohorts, gather or
@@ -302,7 +367,8 @@ pub fn run_core_dca_gathered<R, O>(
     initial: Option<Vec<f64>>,
     trace: bool,
     control: &RunControl,
-    mut gather_step: impl FnMut(u64, &mut Dataset) -> Result<()>,
+    window: usize,
+    mut gather_window: impl FnMut(&[u64], &mut [Dataset]) -> Result<()>,
 ) -> Result<CoreDcaOutcome>
 where
     R: Ranker + ?Sized,
@@ -323,53 +389,61 @@ where
     // draws is independent of how many other shards exist on this node — or
     // of which node holds them.
     let mut master = StdRng::seed_from_u64(config.seed);
-    let mut gather = Dataset::with_capacity(schema.clone(), config.sample_size);
+    let total_steps = config.core_steps();
+    let window = window.clamp(1, total_steps.max(1));
+    let mut step_seeds = Vec::with_capacity(window);
+    let mut blocks: Vec<Dataset> = (0..window)
+        .map(|_| Dataset::with_capacity(schema.clone(), config.sample_size))
+        .collect();
     let mut scratch = DcaScratch::new();
     let mut trace_entries = Vec::new();
-    let mut steps = 0_usize;
     let mut objects_scored = 0_usize;
 
-    let total_steps = config.core_steps();
-    for &lr in &config.learning_rates {
-        for _ in 0..config.iterations_per_rate {
-            control.checkpoint()?;
-            let step_seed: u64 = master.gen();
-            gather.clear();
-            gather_step(step_seed, &mut gather)?;
-            let sample = gather.full_view();
-            {
-                let _score = crate::obs::profile::scope(crate::obs::Phase::Score);
-                objective.evaluate_into(
-                    &sample,
-                    ranker,
-                    &bonus,
-                    &mut scratch.eval,
-                    &mut scratch.direction,
-                )?;
+    for step in 0..total_steps {
+        control.checkpoint()?;
+        let slot = step % window;
+        if slot == 0 {
+            let len = window.min(total_steps - step);
+            step_seeds.clear();
+            step_seeds.extend((0..len).map(|_| master.gen::<u64>()));
+            for block in &mut blocks[..len] {
+                block.clear();
             }
-            let direction = &scratch.direction;
-            debug_assert_eq!(direction.len(), dims);
-            for (b, d) in bonus.iter_mut().zip(direction) {
-                *b -= lr * d;
-            }
-            clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
-            objects_scored += sample.len();
-            steps += 1;
-            if trace {
-                trace_entries.push(CoreTraceEntry {
-                    step: steps - 1,
-                    learning_rate: lr,
-                    objective_norm: crate::metrics::norm(direction),
-                    bonus: bonus.clone(),
-                });
-            }
-            control.report(steps, total_steps);
+            gather_window(&step_seeds, &mut blocks[..len])?;
         }
+        let lr = config.learning_rates[step / config.iterations_per_rate];
+        let sample = blocks[slot].full_view();
+        {
+            let _score = crate::obs::profile::scope(crate::obs::Phase::Score);
+            objective.evaluate_into(
+                &sample,
+                ranker,
+                &bonus,
+                &mut scratch.eval,
+                &mut scratch.direction,
+            )?;
+        }
+        let direction = &scratch.direction;
+        debug_assert_eq!(direction.len(), dims);
+        for (b, d) in bonus.iter_mut().zip(direction) {
+            *b -= lr * d;
+        }
+        clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
+        objects_scored += sample.len();
+        if trace {
+            trace_entries.push(CoreTraceEntry {
+                step,
+                learning_rate: lr,
+                objective_norm: crate::metrics::norm(direction),
+                bonus: bonus.clone(),
+            });
+        }
+        control.report(step + 1, total_steps);
     }
 
     Ok(CoreDcaOutcome {
         bonus,
-        steps,
+        steps: total_steps,
         objects_scored,
         trace: trace_entries,
     })
@@ -589,46 +663,156 @@ mod tests {
 
         let cuts = [0, 3, 5, data.num_shards()];
         let mut indices = Vec::new();
-        let distributed = run_core_dca_gathered(
-            data.schema(),
-            data.len(),
-            &ranker,
-            &objective,
-            &cfg,
-            None,
-            true,
-            &RunControl::new(),
-            |step_seed, gather| {
-                for range in cuts.windows(2) {
-                    crate::shard::sample_indices_range_into(
-                        &data,
-                        step_seed,
-                        cfg.sample_size,
-                        range[0]..range[1],
-                        &mut indices,
-                    )?;
-                    crate::shard::for_each_shard_run(
-                        &data,
-                        &indices,
-                        |&g| g / data.shard_size(),
-                        |view, run| {
-                            let d = view.data();
-                            for &g in run {
-                                gather.push_row(d.row(g - view.offset()));
+        // The driver's window only batches the gathers: any window size
+        // (1, a divisor of the 30 steps, and one that is not) leaves the
+        // trajectory unchanged.
+        for window in [1, 5, 7] {
+            let distributed = run_core_dca_gathered(
+                data.schema(),
+                data.len(),
+                &ranker,
+                &objective,
+                &cfg,
+                None,
+                true,
+                &RunControl::new(),
+                window,
+                |step_seeds, blocks| {
+                    assert!(step_seeds.len() <= window);
+                    assert_eq!(step_seeds.len(), blocks.len());
+                    for (&step_seed, gather) in step_seeds.iter().zip(blocks) {
+                        for range in cuts.windows(2) {
+                            crate::shard::sample_indices_range_into(
+                                &data,
+                                step_seed,
+                                cfg.sample_size,
+                                range[0]..range[1],
+                                &mut indices,
+                            )?;
+                            for &g in &indices {
+                                data.with_row(g, |row| gather.push_row(row));
                             }
-                        },
-                    );
-                }
-                Ok(())
-            },
-        )
-        .unwrap();
-        let a: Vec<u64> = local.bonus.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u64> = distributed.bonus.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b, "range-gathered Core DCA is bit-identical");
-        for (s, t) in local.trace.iter().zip(&distributed.trace) {
-            assert_eq!(s.bonus, t.bonus, "step {}", s.step);
+                        }
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap();
+            let a: Vec<u64> = local.bonus.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = distributed.bonus.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                a, b,
+                "window {window}: range-gathered Core DCA is bit-identical"
+            );
+            assert_eq!(local.trace.len(), distributed.trace.len());
+            for (s, t) in local.trace.iter().zip(&distributed.trace) {
+                assert_eq!(s.bonus, t.bonus, "window {window} step {}", s.step);
+            }
         }
+    }
+
+    /// An in-memory cohort that reports itself paged (or not) and counts
+    /// the two calls the Core-DCA gather makes on it.
+    struct Counting<'a> {
+        inner: &'a ShardedDataset,
+        paged: bool,
+        with_shard: std::sync::atomic::AtomicUsize,
+        samples: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Counting<'_> {
+        fn counts(&self) -> (usize, usize) {
+            use std::sync::atomic::Ordering::Relaxed;
+            (self.with_shard.load(Relaxed), self.samples.load(Relaxed))
+        }
+    }
+
+    impl ShardSource for Counting<'_> {
+        fn schema(&self) -> &SchemaRef {
+            self.inner.schema()
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn shard_size(&self) -> usize {
+            self.inner.shard_size()
+        }
+
+        fn num_shards(&self) -> usize {
+            self.inner.num_shards()
+        }
+
+        fn paged(&self) -> bool {
+            self.paged
+        }
+
+        fn with_shard<T>(
+            &self,
+            index: usize,
+            f: impl FnOnce(crate::shard::ShardView<'_>) -> T,
+        ) -> T {
+            self.with_shard
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.with_shard(index, f)
+        }
+
+        fn sample_indices_into(&self, seed: u64, size: usize, out: &mut Vec<usize>) -> Result<()> {
+            self.samples
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.sample_indices_into(seed, size, out)
+        }
+    }
+
+    #[test]
+    fn paged_core_dca_lends_each_shard_once_per_window() {
+        // 5 shards of 400 rows and 50-row samples: every shard has a quota
+        // in every step, and a paged window is 400 / 50 = 8 steps, which
+        // does not divide the 30 steps.
+        let flat = dyadic_biased(2000, 23);
+        let inner = ShardedDataset::from_dataset(&flat, 400).unwrap();
+        let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
+        let objective = TopKDisparity::new(0.2);
+        let mut cfg = config();
+        cfg.sample_size = 50;
+        let steps = cfg.core_steps();
+        let window = inner.shard_size() / cfg.sample_size;
+        let reference =
+            run_core_dca_sharded(&inner, &ranker, &objective, &cfg, None, true).unwrap();
+
+        for paged in [true, false] {
+            let data = Counting {
+                inner: &inner,
+                paged,
+                with_shard: Default::default(),
+                samples: Default::default(),
+            };
+            let out = run_core_dca_sharded(&data, &ranker, &objective, &cfg, None, true).unwrap();
+            assert_eq!(bits(&out.bonus), bits(&reference.bonus), "paged {paged}");
+            for (s, t) in reference.trace.iter().zip(&out.trace) {
+                assert_eq!(
+                    bits(&s.bonus),
+                    bits(&t.bonus),
+                    "paged {paged} step {}",
+                    s.step
+                );
+            }
+            let (lent, sampled) = data.counts();
+            assert_eq!(sampled, steps, "one draw per step (paged {paged})");
+            if paged {
+                assert!(
+                    lent <= inner.num_shards() * steps.div_ceil(window),
+                    "{lent} shard loans for {steps} steps in windows of {window}"
+                );
+            } else {
+                assert_eq!(lent, inner.num_shards() * steps, "one shard pass per step");
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `fair_store::ShardStore` unchanged. Scoring is embarrassingly parallel
 //! (one kernel per shard, concatenated in shard order — bit-for-bit the
 //! serial scores). Selection runs a per-shard partial top-`m`
-//! ([`std::slice::select_nth_unstable_by`]) and merges the candidate sets
+//! ([`slice::select_nth_unstable_by`]) and merges the candidate sets
 //! under the same strict total order the serial
 //! [`RankedSelection`](crate::ranking::topk::RankedSelection) uses
 //! (descending [`f64::total_cmp`], ties by ascending global position), so the

@@ -83,6 +83,13 @@ impl ShardSource for CohortStore {
             Self::Disk(s) => s.with_shard(index, f),
         }
     }
+
+    fn paged(&self) -> bool {
+        match self {
+            Self::Memory(d) => d.paged(),
+            Self::Disk(s) => s.paged(),
+        }
+    }
 }
 
 /// One registered cohort: its name, provenance, and the store itself.
@@ -391,6 +398,20 @@ mod tests {
         assert_eq!(store.schema().num_fairness(), 1);
         let first_id = store.with_shard(1, |view| view.data().row(0).id());
         assert_eq!(first_id.0, 8);
+        assert!(!store.paged());
+
+        // A disk store stays paged behind the wrapper, so metric plans and
+        // Core-DCA gathers pick their paged strategies for served files.
+        let path = std::env::temp_dir().join(format!(
+            "fair_serve_catalog_paged_{}.fss",
+            std::process::id()
+        ));
+        fair_store::write_source(&cohort(20), &path).unwrap();
+        let store = CohortStore::Disk(ShardStore::open_with_budget(&path, 0).unwrap());
+        assert!(store.paged());
+        assert_eq!(store.with_shard(2, |view| view.data().row(0).id()).0, 16);
+        drop(store);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

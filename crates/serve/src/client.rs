@@ -489,9 +489,12 @@ impl Client {
             .collect()
     }
 
-    /// `POST /stores/{name}/partials` with `kind: "core_sample"`: the
-    /// deterministic `(seed, sample_size)` Bernoulli sample rows restricted
-    /// to the shard range, as plain columns.
+    /// `POST /stores/{name}/partials` with `kind: "core_sample"`: the rows of
+    /// the deterministic `(seed, sample_size)` Core-DCA sample that fall in
+    /// the shard range, as plain columns. The sample is stratified per shard
+    /// and drawn without replacement: largest-remainder quotas proportional
+    /// to shard length, then `sample_into` within each shard under its own
+    /// seed stream ([`fair_core::sample_indices_range_into`]).
     ///
     /// # Errors
     /// I/O, protocol, or API errors.

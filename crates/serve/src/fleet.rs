@@ -230,7 +230,29 @@ impl FleetCoordinator {
         let fairness: Vec<&str> = fairness.iter().map(String::as_str).collect();
         let schema = Schema::from_names(&features, &fairness, &[])
             .map_err(|e| ServeError::Protocol(format!("worker reported invalid schema: {e}")))?;
-        let placement = PlacementMap::even(info.shards, clients.len());
+        Ok(Self::new(
+            store,
+            schema,
+            info.rows,
+            info.shards,
+            clients,
+            addrs,
+            config,
+        ))
+    }
+
+    /// A coordinator over `clients` (one per address in `addrs`) for a
+    /// `rows`-row store of `shards` shards, split evenly across the fleet.
+    fn new(
+        store: &str,
+        schema: SchemaRef,
+        rows: usize,
+        shards: usize,
+        clients: Vec<Client>,
+        addrs: &[SocketAddr],
+        config: FleetConfig,
+    ) -> Self {
+        let placement = PlacementMap::even(shards, clients.len());
         let workers = clients
             .into_iter()
             .zip(addrs)
@@ -246,10 +268,10 @@ impl FleetCoordinator {
                 rounds_since_eject: 0,
             })
             .collect();
-        Ok(Self {
+        Self {
             store: store.to_string(),
             schema,
-            rows: info.rows,
+            rows,
             placement,
             workers: Mutex::new(workers),
             config,
@@ -261,7 +283,7 @@ impl FleetCoordinator {
             partials_cache_hits: AtomicU64::new(0),
             obs: FleetObs::default(),
             trace: None,
-        })
+        }
     }
 
     /// Stamp `trace` on every fan-out round and worker request instead of
@@ -399,8 +421,10 @@ impl FleetCoordinator {
         .map_err(engine_error)
     }
 
-    /// Run Core DCA across the fleet: every step's deterministic Bernoulli
-    /// sample is gathered range-by-range from the workers and evaluated
+    /// Run Core DCA across the fleet: every step's deterministic sample
+    /// (stratified per shard and drawn without replacement: largest-remainder
+    /// quotas proportional to shard length, then `sample_into` within each
+    /// shard) is gathered range-by-range from the workers and evaluated
     /// locally. Bit-identical to `run_core_dca_sharded` with the same
     /// arguments.
     ///
@@ -445,36 +469,40 @@ impl FleetCoordinator {
             initial,
             trace,
             control,
-            |step_seed, gather| {
-                let samples = self
-                    .fan_out(|client, range| {
-                        client.core_sample(&self.store, step_seed, config.sample_size, range)
-                    })
-                    .map_err(wire_to_engine)?;
-                // Ranges arrive in ascending order, so appending them in
-                // sequence reproduces the local gather exactly.
-                let hits = samples.iter().filter(|rows| rows.cached).count();
-                if hits > 0 {
-                    self.partials_cache_hits
-                        .fetch_add(hits as u64, Ordering::Relaxed);
-                    self.obs.partials_cache_hits.add(hits as u64);
-                }
-                for rows in &samples {
-                    if rows.features.len() != rows.len() * nf
-                        || rows.fairness.len() != rows.len() * na
-                        || rows.labels.len() != rows.len()
-                    {
-                        return Err(FairError::InvalidConfig {
-                            reason: "fleet: worker returned malformed sample columns".into(),
-                        });
+            // One fan-out round per step: a window of one.
+            1,
+            |step_seeds, blocks| {
+                for (&step_seed, gather) in step_seeds.iter().zip(blocks) {
+                    let samples = self
+                        .fan_out(|client, range| {
+                            client.core_sample(&self.store, step_seed, config.sample_size, range)
+                        })
+                        .map_err(wire_to_engine)?;
+                    // Ranges arrive in ascending order, so appending them in
+                    // sequence reproduces the local gather exactly.
+                    let hits = samples.iter().filter(|rows| rows.cached).count();
+                    if hits > 0 {
+                        self.partials_cache_hits
+                            .fetch_add(hits as u64, Ordering::Relaxed);
+                        self.obs.partials_cache_hits.add(hits as u64);
                     }
-                    for i in 0..rows.len() {
-                        gather.push(DataObject::new_unchecked(
-                            rows.ids[i],
-                            rows.features[i * nf..(i + 1) * nf].to_vec(),
-                            rows.fairness[i * na..(i + 1) * na].to_vec(),
-                            rows.labels[i],
-                        ))?;
+                    for rows in &samples {
+                        if rows.features.len() != rows.len() * nf
+                            || rows.fairness.len() != rows.len() * na
+                            || rows.labels.len() != rows.len()
+                        {
+                            return Err(FairError::InvalidConfig {
+                                reason: "fleet: worker returned malformed sample columns".into(),
+                            });
+                        }
+                        for i in 0..rows.len() {
+                            gather.push(DataObject::new_unchecked(
+                                rows.ids[i],
+                                rows.features[i * nf..(i + 1) * nf].to_vec(),
+                                rows.fairness[i * na..(i + 1) * na].to_vec(),
+                                rows.labels[i],
+                            ))?;
+                        }
                     }
                 }
                 Ok(())
@@ -537,10 +565,11 @@ impl FleetCoordinator {
             handles
                 .into_iter()
                 .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(ServeError::Protocol(
-                            "fleet dispatch thread panicked".into(),
-                        ))
+                    h.join().unwrap_or_else(|payload| {
+                        Err(ServeError::Protocol(format!(
+                            "fleet dispatch thread panicked: {}",
+                            crate::jobs::panic_message(payload.as_ref())
+                        )))
                     })
                 })
                 .collect()
@@ -728,5 +757,28 @@ mod tests {
     fn connect_rejects_an_empty_fleet() {
         let err = FleetCoordinator::connect("cohort", &[], FleetConfig::default()).unwrap_err();
         assert!(err.to_string().contains("at least one worker"));
+    }
+
+    #[test]
+    fn a_panicking_range_thread_keeps_its_payload() {
+        // The op panics before any request, so the worker is never contacted.
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let schema = Schema::from_names(&["s"], &["g"], &[]).unwrap();
+        let fleet = FleetCoordinator::new(
+            "cohort",
+            schema,
+            10,
+            2,
+            vec![Client::new(addr)],
+            &[addr],
+            FleetConfig::default(),
+        );
+        let err = fleet
+            .fan_out(|_, range| -> Result<()> { panic!("range {range:?} exploded") })
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Protocol(m) if m.contains("range 0..2 exploded")),
+            "{err}"
+        );
     }
 }

@@ -31,7 +31,7 @@
 //! The request path carries one fault-injection checkpoint (`FAIR_FAULT`
 //! point `"serve"`, context = request path): an activated mode delays,
 //! drops, truncates, garbles, or 500s the response — see
-//! [`fair_core::fault`] and [`crate::fault`].
+//! [`fair_core::fault`] and this crate's `fault` module.
 //!
 //! Every dispatched request is counted and timed into the process-wide
 //! [`fair_core::obs`] registry under its route *template* (`POST
@@ -605,8 +605,11 @@ impl AuditService {
     /// - `disparity`: per-shard fairness sums plus range-pruned top-`count`
     ///   candidates (see [`fair_core::dca::partial`]); combined in shard
     ///   order the result is bit-identical to a local evaluation.
-    /// - `core_sample`: the deterministic `(seed, sample_size)` Bernoulli
-    ///   sample rows restricted to the range — the Core-DCA gather columns.
+    /// - `core_sample`: the rows of the deterministic `(seed, sample_size)`
+    ///   Core-DCA sample that fall in the range — the gather columns. The
+    ///   sample is stratified per shard and drawn without replacement:
+    ///   largest-remainder quotas proportional to shard length, then
+    ///   `sample_into` within each shard under its own seed stream.
     fn partials(&self, name: &str, req: &Request) -> Result<(u16, Json), ApiError> {
         let entry = self.catalog.get(name)?;
         let store = &entry.store;
