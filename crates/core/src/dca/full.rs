@@ -95,10 +95,10 @@ where
 /// The one Full-DCA descent loop: CLT-bypassing validation, initial-bonus
 /// clamp, the learning-rate schedule, and step/trace accounting. The serial
 /// runner, [`crate::dca::run_full_dca_sharded`], and distributed coordinators
-/// (via [`crate::dca::partial`]) all execute exactly this driver, so their
-/// bonus trajectories can only differ through the `evaluate` callback itself
-/// — which is what the serial==sharded==distributed bit-for-bit guarantee
-/// rests on. `control` is consulted at every step boundary (cancellation) and
+/// (via [`crate::metrics::sharded::combine_disparity_partials`]) all execute
+/// exactly this driver, so their bonus trajectories can only differ through
+/// the `evaluate` callback itself — which is what the
+/// serial==sharded==distributed bit-for-bit guarantee rests on. `control` is consulted at every step boundary (cancellation) and
 /// notified after every completed step (progress); the default control adds
 /// one relaxed atomic load per step and nothing else.
 ///

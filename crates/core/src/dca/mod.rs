@@ -39,7 +39,6 @@ pub mod control;
 pub mod core;
 pub mod full;
 pub mod objective;
-pub mod partial;
 pub mod refine;
 pub mod scratch;
 pub mod sharded;
@@ -51,7 +50,6 @@ pub use full::{run_full_dca, run_full_dca_with, run_full_descent, FullDcaOutcome
 pub use objective::{
     FprDifferenceObjective, LogDiscountedObjective, Objective, ScaledDisparateImpact, TopKDisparity,
 };
-pub use partial::{combine_disparity_partials, disparity_partials, DisparityPartial};
 pub use refine::{run_refinement, run_refinement_with, RefinementOutcome};
 pub use scratch::{DcaScratch, EvalScratch};
 pub use sharded::{

@@ -16,9 +16,10 @@
 //! plain sequential left-to-right sum — bit-for-bit the scalar reference.
 //! Every production path — serial [`crate::dataset::Dataset`], the sharded
 //! engine, paged stores, the [`crate::metrics::sharded::MetricPlan`] fused
-//! sweep, and the fleet [`crate::dca::disparity_partials`] kernel — routes
-//! through these functions, so the cross-path bit-parity suites hold by
-//! construction: identical inputs meet identical operation sequences.
+//! sweep, and the fleet [`crate::metrics::sharded::disparity_partials`]
+//! kernel — routes through these functions, so the cross-path bit-parity
+//! suites hold by construction: identical inputs meet identical operation
+//! sequences.
 //!
 //! ## The `FAIR_KERNEL` escape hatch
 //!

@@ -1,4 +1,5 @@
-//! Whole-cohort metric evaluation on the shard-wise parallel engine.
+//! Whole-cohort metric evaluation on the shard-wise parallel engine, on one
+//! node or split across a fleet.
 //!
 //! Every function here is the sharded counterpart of a serial metric in this
 //! module's siblings, decomposed into **per-shard kernels plus an ordered
@@ -6,8 +7,9 @@
 //! the in-memory [`crate::shard::ShardedDataset`] and the out-of-core
 //! `fair_store::ShardStore`:
 //!
-//! 1. *score* — per-shard scoring kernels (embarrassingly parallel,
-//!    bit-for-bit the serial scores),
+//! 1. *score* — one per-shard scoring sweep, the same one
+//!    [`crate::ranking::sharded::effective_scores`] runs (embarrassingly
+//!    parallel, bit-for-bit the serial scores),
 //! 2. *select* — per-shard partial top-`m` merged under the serial strict
 //!    total order ([`crate::ranking::sharded::top_m`]), so the selected set
 //!    and order are exactly the full sort's,
@@ -22,14 +24,25 @@
 //! end-to-end: they take the ranker and bonus vector and perform scoring,
 //! selection and measurement through the engine, because on large cohorts the
 //! full sort the serial callers pre-pay is precisely the cost being removed.
+//!
+//! [`MetricPlan`] runs all three phases on one node. A fleet splits the
+//! disparity metric: workers run [`disparity_partials`] (the scoring sweep
+//! and a range-wide pre-selection) and the coordinator runs
+//! [`combine_disparity_partials`] (the final selection and measurement).
+//! Both halves call the plan's own sweep, keep-best selection and centroid
+//! steps, so a combined fleet disparity is bit-identical to the plan's.
 
 use crate::dca::scratch::EvalScratch;
 use crate::error::{FairError, Result};
 use crate::metrics::LogDiscountConfig;
-use crate::ranking::sharded::{selected_at_k, top_m};
+use crate::parallel::parallel_map;
+use crate::ranking::sharded::{
+    descending_key, keep_best, keyed, prune_best, sweep_shard, top_m, SweepNeeds,
+};
 use crate::ranking::topk::selection_size;
 use crate::ranking::Ranker;
 use crate::shard::ShardSource;
+use std::ops::Range;
 
 /// Scratch buffers reused across sharded metric evaluations (scores,
 /// selection, mask, and the paged-source column retention of
@@ -70,8 +83,8 @@ struct Retained<'a> {
     dims: usize,
 }
 
-impl Retained<'_> {
-    fn row(&self, p: usize) -> &[f64] {
+impl<'a> Retained<'a> {
+    fn row(&self, p: usize) -> &'a [f64] {
         let off = (p % self.shard_size) * self.dims;
         &self.fairness[p / self.shard_size][off..off + self.dims]
     }
@@ -124,6 +137,45 @@ fn gather_fairness_rows_into<S: ShardSource + ?Sized>(
             }
         },
     );
+}
+
+/// The cohort's fairness centroid (`D_O` of Definition 3) from per-shard
+/// column sums: folded in ascending shard order, divided once — exactly
+/// [`ShardSource::fairness_centroid`]. An empty per-shard sum adds nothing.
+fn population_centroid<'a>(
+    dims: usize,
+    rows: usize,
+    shard_sums: impl Iterator<Item = &'a [f64]>,
+) -> Vec<f64> {
+    let mut sums = vec![0.0_f64; dims];
+    for partial in shard_sums {
+        crate::kernel::add_row(&mut sums, partial);
+    }
+    sums.iter().map(|s| s / rows as f64).collect()
+}
+
+/// Disparity of a selection (Definition 3) into `out`: the fairness rows of
+/// ranks `0..selected`, lent by `row`, summed in rank order by the canonical
+/// kernel walk and divided once, minus the population centroid `pop`. The
+/// plan's retained and gathered paths and the fleet combine all end here.
+fn selection_disparity<'a>(
+    pop: &[f64],
+    selected: usize,
+    row: impl Fn(usize) -> &'a [f64],
+    out: &mut Vec<f64>,
+) {
+    let dims = pop.len();
+    out.clear();
+    out.resize(dims, 0.0);
+    if dims > 0 {
+        crate::kernel::col_sums_rows_into(dims, (0..selected).map(row), out);
+    }
+    for a in out.iter_mut() {
+        *a /= selected as f64;
+    }
+    for (s, a) in out.iter_mut().zip(pop) {
+        *s -= a;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -258,15 +310,6 @@ pub struct MetricPlan {
     log: LogDiscountConfig,
 }
 
-/// Per-shard result of the combined scoring sweep.
-struct ShardSweep {
-    scores: Vec<f64>,
-    base: Vec<f64>,
-    fair_sums: Vec<f64>,
-    fairness: Vec<f64>,
-    labels: Vec<Option<bool>>,
-}
-
 impl MetricPlan {
     /// Plan the given metrics at selection fraction `k`, deduplicated while
     /// preserving first-occurrence order. The log-discount configuration
@@ -374,73 +417,23 @@ impl MetricPlan {
 
         assert_eq!(bonus.len(), dims, "bonus vector dimensionality mismatch");
 
-        // --- Phase 1: the one combined sweep. Each per-row kernel below is
-        // exactly its standalone counterpart (`base_scores`,
-        // `adjust_base_scores`, `effective_scores`, `fairness_centroid`), so
-        // every derived quantity is bit-for-bit the standalone one.
-        let nf = data.schema().num_features();
-        let linear = ranker
-            .linear_weights()
-            .filter(|w| !w.is_empty() && w.len() == nf);
-        let per_shard = data.map_shards(|shard| {
-            let d = shard.data();
-            let n = d.len();
-            // One fused pass: the base score and the bonus increment are
-            // computed per row exactly as the standalone kernels do
-            // (`base + increment` in the same order), with the base column
-            // kept only when the plan includes nDCG. Linear rankers run the
-            // shard as blocked kernel passes; per-row arithmetic is the same
-            // kernel::dot pair as the fallback, so both are bit-identical.
-            let mut base = Vec::new();
-            let mut scores = Vec::with_capacity(n);
-            if let Some(w) = linear {
-                if want_ndcg {
-                    crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut base);
-                    scores.extend_from_slice(&base);
-                } else {
-                    crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
-                }
-                crate::kernel::add_dot_rows_into(d.fairness_matrix(), dims, bonus, &mut scores);
-            } else {
-                if want_ndcg {
-                    base.reserve(n);
-                }
-                scores.extend((0..n).map(|i| {
-                    let b = match ranker.feature_score(d.feature_row(i)) {
-                        Some(score) => score,
-                        None => ranker.base_score(d.row(i)),
-                    };
-                    if want_ndcg {
-                        base.push(b);
-                    }
-                    let increment = crate::kernel::dot(d.fairness_row(i), bonus);
-                    b + increment
-                }));
-            }
-            let mut fair_sums = Vec::new();
-            if need_pop && dims > 0 {
-                crate::kernel::col_sums_into(d.fairness_matrix(), dims, &mut fair_sums);
-            }
-            let mut fairness = Vec::new();
-            if retain {
-                // The SoA fairness matrix is contiguous and row-major: one
-                // memcpy retains the whole shard.
-                fairness.extend_from_slice(d.fairness_matrix());
-            }
-            let mut labels = Vec::new();
-            if retain_labels {
-                labels.extend_from_slice(d.labels());
-            }
-            ShardSweep {
-                scores,
-                base,
-                fair_sums,
-                fairness,
-                labels,
-            }
-        });
+        // --- Phase 1: the one combined sweep — the same per-shard kernel
+        // `effective_scores` and the fleet partials run, so every derived
+        // quantity is bit-for-bit theirs.
+        let needs = SweepNeeds {
+            base: want_ndcg,
+            fair_sums: need_pop,
+            fairness: retain,
+            labels: retain_labels,
+        };
+        let per_shard = data.map_shards(|shard| sweep_shard(shard.data(), ranker, bonus, needs));
 
         // Deterministic in-order combine.
+        let pop = population_centroid(
+            dims,
+            data.len(),
+            per_shard.iter().map(|shard| &shard.fair_sums[..]),
+        );
         scratch.scores.clear();
         scratch.scores.reserve(data.len());
         scratch.base.clear();
@@ -449,15 +442,9 @@ impl MetricPlan {
         }
         scratch.fairness.clear();
         scratch.labels.clear();
-        let mut pop_sums = vec![0.0_f64; dims];
         for shard in per_shard {
             scratch.scores.extend_from_slice(&shard.scores);
-            if want_ndcg {
-                scratch.base.extend_from_slice(&shard.base);
-            }
-            if need_pop {
-                crate::kernel::add_row(&mut pop_sums, &shard.fair_sums);
-            }
+            scratch.base.extend_from_slice(&shard.base);
             if retain {
                 scratch.fairness.push(shard.fairness);
             }
@@ -465,8 +452,6 @@ impl MetricPlan {
                 scratch.labels.push(shard.labels);
             }
         }
-        // Exactly `fairness_centroid`: ordered sums divided once.
-        let pop: Vec<f64> = pop_sums.iter().map(|s| s / data.len() as f64).collect();
 
         // --- Phase 2: shared selection — score vectors and shard layout
         // only, nothing paged. One top-`count` serves disparity, the rate
@@ -512,36 +497,28 @@ impl MetricPlan {
                     if selected.is_empty() {
                         return Err(FairError::EmptyDataset);
                     }
-                    let mut out = vec![0.0; dims];
-                    if dims > 0 {
-                        if retain {
-                            // Rank-order accumulation straight from the
-                            // retained rows — the same kernel walk, over the
-                            // same row sequence, as the gathered path below.
-                            crate::kernel::col_sums_rows_into(
-                                dims,
-                                selected.iter().map(|&p| retained.row(p)),
-                                &mut out,
-                            );
-                        } else {
-                            gather_fairness_rows_into(
-                                data,
-                                selected,
-                                &mut scratch.order,
-                                &mut scratch.gathered,
-                            );
-                            crate::kernel::col_sums_rows_into(
-                                dims,
-                                scratch.gathered.chunks_exact(dims),
-                                &mut out,
-                            );
-                        }
-                        for a in out.iter_mut() {
-                            *a /= selected.len() as f64;
-                        }
-                    }
-                    for (s, a) in out.iter_mut().zip(&pop) {
-                        *s -= a;
+                    let mut out = Vec::new();
+                    if retain {
+                        selection_disparity(
+                            &pop,
+                            selected.len(),
+                            |rank| retained.row(selected[rank]),
+                            &mut out,
+                        );
+                    } else {
+                        gather_fairness_rows_into(
+                            data,
+                            selected,
+                            &mut scratch.order,
+                            &mut scratch.gathered,
+                        );
+                        let gathered = &scratch.gathered;
+                        selection_disparity(
+                            &pop,
+                            selected.len(),
+                            |rank| &gathered[rank * dims..(rank + 1) * dims],
+                            &mut out,
+                        );
                     }
                     MetricValue::Vector(out)
                 }
@@ -773,55 +750,62 @@ impl GroupCounts {
     }
 }
 
-/// Tally per-group counts shard by shard against a global selection `mask`.
-/// `need_labels` makes unlabelled rows an error (the FPR metrics).
-fn tally_counts<S: ShardSource + ?Sized>(
-    data: &S,
+/// One shard's group and label tallies against its slice of the selection
+/// `mask`. `fairness` is the shard's row-major matrix (`mask.len()` rows);
+/// `labels` is read only when `need_labels`, which makes an unlabelled row
+/// an error (the FPR metrics). Group membership is `in_group`'s: the
+/// fairness value at `dim` is `>= 0.5`.
+fn tally_shard(
+    dims: usize,
+    fairness: &[f64],
+    labels: &[Option<bool>],
     mask: &[bool],
     need_labels: bool,
 ) -> Result<GroupCounts> {
-    let dims = data.schema().num_fairness();
-    let per_shard = data.map_shards(|shard| -> Result<GroupCounts> {
-        let d = shard.data();
-        let mut counts = GroupCounts::new(dims);
-        for i in 0..d.len() {
-            let object = d.row(i);
-            let selected = mask[shard.global_index(i)];
-            for dim in 0..dims {
-                if object.in_group(dim) {
-                    counts.member_total[dim] += 1;
-                    if selected {
-                        counts.member_selected[dim] += 1;
-                    }
-                } else {
-                    counts.other_total[dim] += 1;
-                    if selected {
-                        counts.other_selected[dim] += 1;
-                    }
+    let mut counts = GroupCounts::new(dims);
+    for (r, &selected) in mask.iter().enumerate() {
+        let row = &fairness[r * dims..(r + 1) * dims];
+        for (dim, value) in row.iter().enumerate() {
+            if *value >= 0.5 {
+                counts.member_total[dim] += 1;
+                if selected {
+                    counts.member_selected[dim] += 1;
+                }
+            } else {
+                counts.other_total[dim] += 1;
+                if selected {
+                    counts.other_selected[dim] += 1;
                 }
             }
-            if need_labels {
-                let label = object.label().ok_or(FairError::MissingLabels)?;
-                if label {
-                    continue;
-                }
-                counts.total_neg += 1;
-                if selected {
-                    counts.total_fp += 1;
-                }
-                for dim in 0..dims {
-                    if object.in_group(dim) {
-                        counts.group_neg[dim] += 1;
-                        if selected {
-                            counts.group_fp[dim] += 1;
-                        }
+        }
+        if need_labels {
+            let label = labels[r].ok_or(FairError::MissingLabels)?;
+            if label {
+                continue;
+            }
+            counts.total_neg += 1;
+            if selected {
+                counts.total_fp += 1;
+            }
+            for (dim, value) in row.iter().enumerate() {
+                if *value >= 0.5 {
+                    counts.group_neg[dim] += 1;
+                    if selected {
+                        counts.group_fp[dim] += 1;
                     }
                 }
             }
         }
-        Ok(counts)
-    });
-    // Ordered combine: the first (lowest-shard) error wins, deterministically.
+    }
+    Ok(counts)
+}
+
+/// Fold per-shard tallies in shard order: exact integer addition, and the
+/// first (lowest-shard) error wins, deterministically.
+fn sum_counts(
+    dims: usize,
+    per_shard: impl IntoIterator<Item = Result<GroupCounts>>,
+) -> Result<GroupCounts> {
     let mut total = GroupCounts::new(dims);
     for counts in per_shard {
         total = total.merge(&counts?);
@@ -829,65 +813,53 @@ fn tally_counts<S: ShardSource + ?Sized>(
     Ok(total)
 }
 
-/// [`tally_counts`] over columns retained during a paged-source sweep: the
-/// same per-row tallies, walked serially in global (= shard) order — integer
-/// counts, so the result is exactly the shard-wise reduction's, and the
-/// first missing label in shard order raises the same error.
+/// Tally per-group counts shard by shard against a global selection `mask`.
+fn tally_counts<S: ShardSource + ?Sized>(
+    data: &S,
+    mask: &[bool],
+    need_labels: bool,
+) -> Result<GroupCounts> {
+    let dims = data.schema().num_fairness();
+    sum_counts(
+        dims,
+        data.map_shards(|shard| {
+            let d = shard.data();
+            let start = shard.offset();
+            tally_shard(
+                dims,
+                d.fairness_matrix(),
+                d.labels(),
+                &mask[start..start + d.len()],
+                need_labels,
+            )
+        }),
+    )
+}
+
+/// [`tally_counts`] over the columns a paged-source sweep retained, walked
+/// shard by shard in the same order — so the counts and the first missing
+/// label are exactly the shard-wise reduction's.
 fn tally_retained(
     retained: &Retained<'_>,
     mask: &[bool],
     need_labels: bool,
 ) -> Result<GroupCounts> {
-    let dims = retained.dims;
-    let mut counts = GroupCounts::new(dims);
-    // Walk shard by shard (same global row order as the serial tally) so
-    // the hot loop indexes each shard's buffer directly instead of doing
-    // two divisions per row.
-    let mut start = 0;
-    let mut sidx = 0;
-    while start < mask.len() {
-        let rows = retained.shard_size.min(mask.len() - start);
-        let fair = &retained.fairness[sidx];
-        for r in 0..rows {
-            let selected = mask[start + r];
-            let row = &fair[r * dims..(r + 1) * dims];
-            // `in_group`: fairness value at `dim` is `>= 0.5`.
-            for (dim, value) in row.iter().enumerate() {
-                if *value >= 0.5 {
-                    counts.member_total[dim] += 1;
-                    if selected {
-                        counts.member_selected[dim] += 1;
-                    }
+    sum_counts(
+        retained.dims,
+        retained
+            .fairness
+            .iter()
+            .zip(mask.chunks(retained.shard_size))
+            .enumerate()
+            .map(|(i, (fairness, mask))| {
+                let labels = if need_labels {
+                    &retained.labels[i][..]
                 } else {
-                    counts.other_total[dim] += 1;
-                    if selected {
-                        counts.other_selected[dim] += 1;
-                    }
-                }
-            }
-            if need_labels {
-                let label = retained.labels[sidx][r].ok_or(FairError::MissingLabels)?;
-                if label {
-                    continue;
-                }
-                counts.total_neg += 1;
-                if selected {
-                    counts.total_fp += 1;
-                }
-                for (dim, value) in row.iter().enumerate() {
-                    if *value >= 0.5 {
-                        counts.group_neg[dim] += 1;
-                        if selected {
-                            counts.group_fp[dim] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        start += rows;
-        sidx += 1;
-    }
-    Ok(counts)
+                    &[]
+                };
+                tally_shard(retained.dims, fairness, labels, mask, need_labels)
+            }),
+    )
 }
 
 /// Per-group and overall false-positive rates from tallied counts.
@@ -936,45 +908,6 @@ fn disparate_impact_from_counts(counts: &GroupCounts, dims: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Build the global top-`k` selection mask into `scratch`, then tally
-/// per-group counts shard by shard. `need_labels` makes unlabelled rows an
-/// error (the FPR metrics).
-fn selection_counts<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-    data: &S,
-    ranker: &R,
-    bonus: &[f64],
-    k: f64,
-    need_labels: bool,
-    scratch: &mut ShardedEvalScratch,
-) -> Result<GroupCounts> {
-    if data.is_empty() {
-        return Err(FairError::EmptyDataset);
-    }
-    crate::ranking::sharded::effective_scores_into(data, ranker, bonus, &mut scratch.scores);
-    let selected = selected_at_k(data, &scratch.scores, k)?;
-    scratch.mask.clear();
-    scratch.mask.resize(data.len(), false);
-    for &p in &selected {
-        scratch.mask[p] = true;
-    }
-    tally_counts(data, &scratch.mask, need_labels)
-}
-
-/// Per-group and overall false-positive rates of the top-`k` selection — the
-/// sharded counterpart of [`crate::metrics::group_fpr_at_k`].
-///
-/// # Errors
-/// Returns an error on empty datasets, invalid `k`, or missing labels.
-pub fn group_fpr_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-    data: &S,
-    ranker: &R,
-    bonus: &[f64],
-    k: f64,
-) -> Result<(Vec<f64>, f64)> {
-    let counts = selection_counts(data, ranker, bonus, k, true, &mut ShardedEvalScratch::new())?;
-    Ok(fpr_rates(&counts, data.schema().num_fairness()))
-}
-
 /// FPR-difference vector (`FPR_group − FPR_overall`) of the top-`k`
 /// selection — the sharded counterpart of
 /// [`crate::metrics::fpr_difference_at_k`]. A thin single-metric
@@ -1014,6 +947,245 @@ pub fn scaled_disparate_impact_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>
         Some(MetricValue::Vector(v)) => Ok(v),
         _ => unreachable!("planned metric always reported"),
     }
+}
+
+// ---------------------------------------------------------------------
+// Distributed disparity: per-range partials and their combine.
+// ---------------------------------------------------------------------
+
+/// One shard's contribution to a distributed disparity evaluation.
+///
+/// `scores`/`positions`/`fairness` describe the shard's surviving selection
+/// candidates in canonical rank order (descending score, ties by ascending
+/// position); `fairness` is row-major, `scores.len() × dims`. `fair_sums` and
+/// `rows` always describe the **whole** shard, whatever survived pruning.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DisparityPartial {
+    /// Global shard index.
+    pub shard: usize,
+    /// Rows in the shard.
+    pub rows: usize,
+    /// Per-dimension fairness column sums over the whole shard.
+    pub fair_sums: Vec<f64>,
+    /// Candidate effective scores, best first.
+    pub scores: Vec<f64>,
+    /// Candidate global row positions, aligned with `scores`.
+    pub positions: Vec<usize>,
+    /// Candidate fairness rows, row-major, aligned with `scores`.
+    pub fairness: Vec<f64>,
+}
+
+/// Every candidate of `partials` as `(canonical key, (partial, candidate))`
+/// — the keys the worker ranked by (scores cross the wire bit-exactly), each
+/// tagged with where its row lives. Both the worker's range-wide prune and
+/// the coordinator's selection partition this list. The tags are `u32`
+/// pairs: with `usize` tags (32-byte entries) the fleet audit measured
+/// 10-20% slower through the allocator's extra page faults.
+fn tagged_candidates<P: std::borrow::Borrow<DisparityPartial>>(
+    partials: &[P],
+) -> Vec<((u64, u64), (u32, u32))> {
+    let mut tagged = Vec::with_capacity(partials.iter().map(|p| p.borrow().scores.len()).sum());
+    for (slot, p) in partials.iter().enumerate() {
+        let p = p.borrow();
+        for (idx, (&score, &pos)) in p.scores.iter().zip(&p.positions).enumerate() {
+            tagged.push((
+                (descending_key(score), pos as u64),
+                (slot as u32, idx as u32),
+            ));
+        }
+    }
+    tagged
+}
+
+/// Compute the disparity partials for the shards in `shards` under `bonus`,
+/// with selection candidates pruned range-wide to the global selection size
+/// `count` — the compute half of a multi-node DCA coordinator.
+///
+/// Each shard runs the plan's scoring sweep and keeps its own canonical
+/// top-`count`. Candidates are then pruned **range-wide** to the best
+/// `count`: the global top-`count` can contain at most `count` rows from any
+/// range, so the pruned set still covers every row that can be selected,
+/// while the wire payload stays `O(count)` per worker instead of
+/// `O(count × shards)`. Partials are pure functions of `(cohort, bonus,
+/// count, shard range)` — no hidden state, no RNG — which is what makes
+/// coordinator retries idempotent.
+///
+/// # Errors
+/// Returns [`FairError::EmptyDataset`] on an empty cohort and
+/// [`FairError::InvalidConfig`] when the range exceeds the layout or `count`
+/// is not in `1..=len`.
+///
+/// # Panics
+/// Panics if `bonus.len()` differs from the schema's fairness dimensionality
+/// (the scoring-kernel contract).
+pub fn disparity_partials<S, R>(
+    data: &S,
+    ranker: &R,
+    bonus: &[f64],
+    count: usize,
+    shards: Range<usize>,
+) -> Result<Vec<DisparityPartial>>
+where
+    S: ShardSource + ?Sized,
+    R: Ranker + ?Sized,
+{
+    if data.is_empty() {
+        return Err(FairError::EmptyDataset);
+    }
+    if shards.start > shards.end || shards.end > data.num_shards() {
+        return Err(FairError::InvalidConfig {
+            reason: format!(
+                "shard range {}..{} exceeds the {}-shard layout",
+                shards.start,
+                shards.end,
+                data.num_shards()
+            ),
+        });
+    }
+    if count == 0 || count > data.len() {
+        return Err(FairError::InvalidConfig {
+            reason: format!(
+                "selection count {count} must be in 1..={} for this cohort",
+                data.len()
+            ),
+        });
+    }
+    let dims = data.schema().num_fairness();
+    assert_eq!(bonus.len(), dims, "bonus vector dimensionality mismatch");
+    let needs = SweepNeeds {
+        fair_sums: true,
+        ..SweepNeeds::default()
+    };
+
+    let indices: Vec<usize> = shards.collect();
+    let mut partials = parallel_map(&indices, |&i| {
+        data.with_shard(i, |shard| {
+            let d = shard.data();
+            let offset = shard.offset();
+            let sweep = sweep_shard(d, ranker, bonus, needs);
+            let mut keys = keyed(&sweep.scores, offset);
+            keep_best(&mut keys, count);
+            let mut partial = DisparityPartial {
+                shard: i,
+                rows: d.len(),
+                fair_sums: sweep.fair_sums,
+                scores: Vec::with_capacity(keys.len()),
+                positions: Vec::with_capacity(keys.len()),
+                fairness: Vec::with_capacity(keys.len() * dims),
+            };
+            for &(_, pos) in &keys {
+                let pos = pos as usize;
+                partial.scores.push(sweep.scores[pos - offset]);
+                partial.positions.push(pos);
+                partial
+                    .fairness
+                    .extend_from_slice(d.fairness_row(pos - offset));
+            }
+            partial
+        })
+    });
+
+    // Range-wide prune. Each shard's candidates are in canonical order, so
+    // its survivors are a prefix: as many as it has among the range's best.
+    // They move to right-sized buffers, so the pruned tails are freed before
+    // the response is built rather than held through it.
+    let mut best = tagged_candidates(&partials);
+    if count < best.len() {
+        prune_best(&mut best, count);
+        let mut keep = vec![0_usize; partials.len()];
+        for &(_, (slot, _)) in &best {
+            keep[slot as usize] += 1;
+        }
+        for (p, keep) in partials.iter_mut().zip(keep) {
+            p.scores = p.scores[..keep].to_vec();
+            p.positions = p.positions[..keep].to_vec();
+            p.fairness = p.fairness[..keep * dims].to_vec();
+        }
+    }
+    Ok(partials)
+}
+
+/// Combine partials covering **every** shard of a `total_rows`-row cohort
+/// into the disparity vector at selection size `count`, written into `out`.
+///
+/// The population centroid folds per-shard sums in ascending shard order,
+/// the selection re-partitions the candidate keys under the canonical order
+/// of [`top_m`], and the selection centroid accumulates fairness rows in rank
+/// order — through the same helpers [`MetricPlan`] measures with, so the
+/// result (and a Full-DCA trajectory driven by it through
+/// [`crate::dca::full::run_full_descent`]) is bit-identical to
+/// [`disparity_at_k_into`] on one node at the matching `k`.
+///
+/// Partials may arrive in any order; they are folded in ascending shard
+/// order. A shard that is missing, supplied twice (a double-counted retry),
+/// or internally inconsistent is an [`FairError::InvalidConfig`] — the
+/// combine refuses to produce a silently wrong vector.
+///
+/// # Errors
+/// Returns [`FairError::InvalidConfig`] on coverage or shape violations and
+/// [`FairError::EmptyDataset`] when `count == 0`.
+pub fn combine_disparity_partials(
+    total_rows: usize,
+    dims: usize,
+    count: usize,
+    partials: &[DisparityPartial],
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    if count == 0 {
+        return Err(FairError::EmptyDataset);
+    }
+    let invalid = |reason: String| FairError::InvalidConfig { reason };
+    let mut order: Vec<&DisparityPartial> = partials.iter().collect();
+    order.sort_by_key(|p| p.shard);
+    for (expected, p) in order.iter().enumerate() {
+        if p.shard < expected {
+            return Err(invalid(format!(
+                "shard {} supplied twice — a retry double-counted a range",
+                p.shard
+            )));
+        }
+        if p.shard > expected {
+            return Err(invalid(format!("no partial covers shard {expected}")));
+        }
+        if p.fair_sums.len() != dims
+            || p.positions.len() != p.scores.len()
+            || p.fairness.len() != p.scores.len() * dims
+        {
+            return Err(invalid(format!("malformed partial for shard {}", p.shard)));
+        }
+    }
+    let rows: usize = order.iter().map(|p| p.rows).sum();
+    if rows != total_rows {
+        return Err(invalid(format!(
+            "partials cover {rows} rows, cohort has {total_rows}"
+        )));
+    }
+    if count > total_rows {
+        return Err(invalid(format!(
+            "selection count {count} exceeds the {total_rows}-row cohort"
+        )));
+    }
+
+    let pop = population_centroid(dims, total_rows, order.iter().map(|p| &p.fair_sums[..]));
+    let mut candidates = tagged_candidates(&order);
+    if candidates.len() < count {
+        return Err(invalid(format!(
+            "{} candidates for a selection of {count} — partials were over-pruned",
+            candidates.len()
+        )));
+    }
+    keep_best(&mut candidates, count);
+    selection_disparity(
+        &pop,
+        count,
+        |rank| {
+            let (_, (slot, idx)) = candidates[rank];
+            let idx = idx as usize;
+            &order[slot as usize].fairness[idx * dims..(idx + 1) * dims]
+        },
+        out,
+    );
+    Ok(())
 }
 
 /// The serial reference for a sharded evaluation: flatten and evaluate with
@@ -1147,12 +1319,6 @@ mod tests {
                 let serial_fpr = crate::metrics::fpr_difference_at_k(&view, &ranking, k).unwrap();
                 let sharded_fpr = fpr_difference_at_k(&data, &ranker, &[0.0, -1.0], k).unwrap();
                 assert_eq!(bits(&serial_fpr), bits(&sharded_fpr), "fpr {shard_size}");
-                let (serial_groups, serial_overall) =
-                    crate::metrics::group_fpr_at_k(&view, &ranking, k).unwrap();
-                let (sharded_groups, sharded_overall) =
-                    group_fpr_at_k(&data, &ranker, &[0.0, -1.0], k).unwrap();
-                assert_eq!(bits(&serial_groups), bits(&sharded_groups));
-                assert_eq!(serial_overall.to_bits(), sharded_overall.to_bits());
                 let serial_di =
                     crate::metrics::scaled_disparate_impact_at_k(&view, &ranking, k).unwrap();
                 let sharded_di =
@@ -1197,6 +1363,205 @@ mod tests {
             log_discounted_disparity(&data, &ranker, &[0.0], &LogDiscountConfig::default())
                 .is_err()
         );
-        assert!(group_fpr_at_k(&data, &ranker, &[0.0], 0.5).is_err());
+        assert!(fpr_difference_at_k(&data, &ranker, &[0.0], 0.5).is_err());
+    }
+
+    /// The fleet partials and their combine.
+    mod partials {
+        use super::super::*;
+        use crate::attributes::Schema;
+        use crate::dca::config::DcaConfig;
+        use crate::dca::control::RunControl;
+        use crate::dca::full::run_full_descent;
+        use crate::dca::objective::TopKDisparity;
+        use crate::dca::sharded::run_full_dca_sharded;
+        use crate::metrics::sharded as shmetrics;
+        use crate::object::DataObject;
+        use crate::ranking::{selection_size, WeightedSumRanker};
+        use crate::shard::ShardedDataset;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// A biased cohort with *non*-dyadic scores and a two-dimensional
+        /// fairness schema: bit-identity must come from identical operation
+        /// order, not from exactly-representable values.
+        fn cohort(n: u64, seed: u64, shard_size: usize) -> ShardedDataset {
+            let schema = Schema::from_names(&["a", "b"], &["g", "h"], &[]).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let objects = (0..n)
+                .map(|i| {
+                    let g = rng.gen::<f64>() < 0.3;
+                    let h = rng.gen::<f64>() < 0.5;
+                    let a = rng.gen::<f64>() * 100.0 - if g { 13.7 } else { 0.0 };
+                    let b = rng.gen::<f64>() * 10.0;
+                    DataObject::new_unchecked(
+                        i,
+                        vec![a, b],
+                        vec![f64::from(u8::from(g)), f64::from(u8::from(h))],
+                        None,
+                    )
+                })
+                .collect();
+            ShardedDataset::from_objects(schema, objects, shard_size).unwrap()
+        }
+
+        fn split_partials(
+            data: &ShardedDataset,
+            ranker: &WeightedSumRanker,
+            bonus: &[f64],
+            count: usize,
+            cuts: &[usize],
+        ) -> Vec<DisparityPartial> {
+            let mut partials = Vec::new();
+            let mut start = 0;
+            for &cut in cuts.iter().chain(std::iter::once(&data.num_shards())) {
+                partials
+                    .extend(disparity_partials(data, ranker, bonus, count, start..cut).unwrap());
+                start = cut;
+            }
+            partials
+        }
+
+        #[test]
+        fn combined_partials_match_local_disparity_bitwise() {
+            let data = cohort(500, 7, 48);
+            let ranker = WeightedSumRanker::new(vec![1.0, 0.25]).unwrap();
+            let mut scratch = shmetrics::ShardedEvalScratch::new();
+            for k in [0.02, 0.2, 0.9] {
+                let count = selection_size(data.len(), k).unwrap();
+                for bonus in [vec![0.0, 0.0], vec![3.3, -1.1]] {
+                    let mut local = Vec::new();
+                    shmetrics::disparity_at_k_into(
+                        &data,
+                        &ranker,
+                        &bonus,
+                        k,
+                        &mut scratch,
+                        &mut local,
+                    )
+                    .unwrap();
+                    for cuts in [vec![], vec![4], vec![2, 7], vec![1, 2, 3]] {
+                        let partials = split_partials(&data, &ranker, &bonus, count, &cuts);
+                        let mut combined = Vec::new();
+                        combine_disparity_partials(data.len(), 2, count, &partials, &mut combined)
+                            .unwrap();
+                        let a: Vec<u64> = local.iter().map(|v| v.to_bits()).collect();
+                        let b: Vec<u64> = combined.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(a, b, "k={k} bonus={bonus:?} cuts={cuts:?}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn partials_are_order_insensitive_and_pure() {
+            let data = cohort(300, 3, 32);
+            let ranker = WeightedSumRanker::new(vec![1.0, 1.0]).unwrap();
+            let count = selection_size(data.len(), 0.1).unwrap();
+            let bonus = [2.0, 0.5];
+            let mut partials = split_partials(&data, &ranker, &bonus, count, &[5]);
+            let again = split_partials(&data, &ranker, &bonus, count, &[5]);
+            assert_eq!(
+                partials, again,
+                "partials are pure — retries are idempotent"
+            );
+            let mut ordered = Vec::new();
+            combine_disparity_partials(data.len(), 2, count, &partials, &mut ordered).unwrap();
+            partials.reverse();
+            let mut reversed = Vec::new();
+            combine_disparity_partials(data.len(), 2, count, &partials, &mut reversed).unwrap();
+            assert_eq!(ordered, reversed, "combine sorts by shard itself");
+        }
+
+        #[test]
+        fn combine_rejects_double_counted_missing_and_malformed_shards() {
+            let data = cohort(200, 1, 32);
+            let ranker = WeightedSumRanker::new(vec![1.0, 1.0]).unwrap();
+            let count = 20;
+            let partials =
+                disparity_partials(&data, &ranker, &[0.0; 2], count, 0..data.num_shards()).unwrap();
+            let mut out = Vec::new();
+
+            // A retried range slipped in twice: refused, not double-counted.
+            let mut doubled = partials.clone();
+            doubled.push(partials[2].clone());
+            let err =
+                combine_disparity_partials(data.len(), 2, count, &doubled, &mut out).unwrap_err();
+            assert!(err.to_string().contains("twice"), "{err}");
+
+            // A missing shard is refused.
+            let missing: Vec<_> = partials[1..].to_vec();
+            let err =
+                combine_disparity_partials(data.len(), 2, count, &missing, &mut out).unwrap_err();
+            assert!(err.to_string().contains("shard 0"), "{err}");
+
+            // A row-count mismatch is refused.
+            let err = combine_disparity_partials(999, 2, count, &partials, &mut out).unwrap_err();
+            assert!(err.to_string().contains("rows"), "{err}");
+
+            // Shape violations are refused.
+            let mut torn = partials.clone();
+            torn[0].fairness.pop();
+            let err =
+                combine_disparity_partials(data.len(), 2, count, &torn, &mut out).unwrap_err();
+            assert!(err.to_string().contains("malformed"), "{err}");
+        }
+
+        #[test]
+        fn partials_validate_range_count_and_emptiness() {
+            let data = cohort(100, 2, 16);
+            let ranker = WeightedSumRanker::new(vec![1.0, 1.0]).unwrap();
+            assert!(disparity_partials(&data, &ranker, &[0.0; 2], 10, 0..99).is_err());
+            assert!(disparity_partials(&data, &ranker, &[0.0; 2], 0, 0..1).is_err());
+            assert!(disparity_partials(&data, &ranker, &[0.0; 2], 101, 0..1).is_err());
+            let schema = Schema::from_names(&["a", "b"], &["g", "h"], &[]).unwrap();
+            let empty = ShardedDataset::with_shard_size(schema, 8).unwrap();
+            assert!(matches!(
+                disparity_partials(&empty, &ranker, &[0.0; 2], 1, 0..0),
+                Err(FairError::EmptyDataset)
+            ));
+        }
+
+        #[test]
+        fn full_descent_over_combined_partials_matches_the_sharded_runner_bitwise() {
+            let data = cohort(400, 11, 64);
+            let ranker = WeightedSumRanker::new(vec![1.0, 0.5]).unwrap();
+            let k = 0.2;
+            let config = DcaConfig {
+                learning_rates: vec![10.0, 1.0],
+                iterations_per_rate: 8,
+                refinement_iterations: 0,
+                seed: 5,
+                ..DcaConfig::default()
+            };
+            let local =
+                run_full_dca_sharded(&data, &ranker, &TopKDisparity::new(k), &config, None, true)
+                    .unwrap();
+
+            // Simulate a 3-worker coordinator: three disjoint ranges per step,
+            // combined in shard order.
+            let count = selection_size(data.len(), k).unwrap();
+            let dims = 2;
+            let distributed = run_full_descent(
+                dims,
+                data.len(),
+                &config,
+                None,
+                true,
+                &RunControl::new(),
+                |bonus, out| {
+                    let partials = split_partials(&data, &ranker, bonus, count, &[3, 5]);
+                    combine_disparity_partials(data.len(), dims, count, &partials, out)
+                },
+            )
+            .unwrap();
+            let a: Vec<u64> = local.bonus.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = distributed.bonus.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "distributed Full DCA is bit-identical");
+            assert_eq!(local.steps, distributed.steps);
+            for (s, t) in local.trace.iter().zip(&distributed.trace) {
+                assert_eq!(s.bonus, t.bonus, "step {}", s.step);
+            }
+        }
     }
 }

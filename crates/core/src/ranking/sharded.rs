@@ -5,8 +5,9 @@
 //! the in-memory [`crate::shard::ShardedDataset`] and the out-of-core
 //! `fair_store::ShardStore` unchanged. Scoring is embarrassingly parallel
 //! (one kernel per shard, concatenated in shard order — bit-for-bit the
-//! serial scores). Selection runs a per-shard partial top-`m`
-//! ([`slice::select_nth_unstable_by`]) and merges the candidate sets
+//! serial scores); `sweep_shard` is that kernel for every scoring caller in
+//! the sharded layer. Selection runs a per-shard partial top-`m`
+//! ([`slice::select_nth_unstable`]) and merges the candidate sets
 //! under the same strict total order the serial
 //! [`RankedSelection`](crate::ranking::topk::RankedSelection) uses
 //! (descending [`f64::total_cmp`], ties by ascending global position), so the
@@ -15,13 +16,113 @@
 //! [`rank_of`]) consume only the score vector and the shard *layout* — no
 //! shard data is paged in, which matters for cached out-of-core sources.
 
+use crate::dataset::Dataset;
 use crate::parallel::parallel_map;
 use crate::ranking::topk::{rank_cmp, selection_size};
 use crate::ranking::Ranker;
 use crate::shard::ShardSource;
 
+/// Which by-products of the scoring pass a [`sweep_shard`] caller keeps —
+/// everything else is skipped, so each caller pays only for what it reads.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SweepNeeds {
+    /// Keep the base (zero-bonus) scores.
+    pub(crate) base: bool,
+    /// Sum the fairness columns.
+    pub(crate) fair_sums: bool,
+    /// Copy the shard's fairness matrix out.
+    pub(crate) fairness: bool,
+    /// Copy the shard's labels out.
+    pub(crate) labels: bool,
+}
+
+/// One shard's scoring pass. Only `scores` is always filled; the other
+/// fields are empty unless the matching [`SweepNeeds`] flag was set.
+pub(crate) struct ShardSweep {
+    /// Effective (bonus-adjusted) scores, shard row order.
+    pub(crate) scores: Vec<f64>,
+    /// Base scores, shard row order.
+    pub(crate) base: Vec<f64>,
+    /// Fairness column sums in the canonical kernel order (empty for a
+    /// fairness-free schema).
+    pub(crate) fair_sums: Vec<f64>,
+    /// The shard's row-major fairness matrix.
+    pub(crate) fairness: Vec<f64>,
+    /// The shard's labels.
+    pub(crate) labels: Vec<Option<bool>>,
+}
+
+/// The one per-shard scoring kernel of the sharded layer: effective scores
+/// `base + fairness_row · bonus` for every row of the shard `d`, plus the
+/// column by-products `needs` asks for, all from the same page-in.
+///
+/// Linear rankers run the shard as blocked kernel passes; every other
+/// ranker scores row by row. The per-row arithmetic is the same
+/// `kernel::dot` pair either way (base first, increment added once), so
+/// both paths — and every caller — produce bit-identical scores.
+pub(crate) fn sweep_shard<R: Ranker + ?Sized>(
+    d: &Dataset,
+    ranker: &R,
+    bonus: &[f64],
+    needs: SweepNeeds,
+) -> ShardSweep {
+    let n = d.len();
+    let nf = d.schema().num_features();
+    let dims = bonus.len();
+    let mut base = Vec::new();
+    let mut scores = Vec::with_capacity(n);
+    if let Some(w) = ranker
+        .linear_weights()
+        .filter(|w| !w.is_empty() && w.len() == nf)
+    {
+        if needs.base {
+            crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut base);
+            scores.extend_from_slice(&base);
+        } else {
+            crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
+        }
+        crate::kernel::add_dot_rows_into(d.fairness_matrix(), dims, bonus, &mut scores);
+    } else {
+        if needs.base {
+            base.reserve(n);
+        }
+        scores.extend((0..n).map(|i| {
+            let b = match ranker.feature_score(d.feature_row(i)) {
+                Some(score) => score,
+                None => ranker.base_score(d.row(i)),
+            };
+            if needs.base {
+                base.push(b);
+            }
+            let increment = crate::kernel::dot(d.fairness_row(i), bonus);
+            b + increment
+        }));
+    }
+    let mut fair_sums = Vec::new();
+    if needs.fair_sums && dims > 0 {
+        crate::kernel::col_sums_into(d.fairness_matrix(), dims, &mut fair_sums);
+    }
+    let mut fairness = Vec::new();
+    if needs.fairness {
+        // The SoA fairness matrix is contiguous and row-major: one memcpy
+        // keeps the whole shard.
+        fairness.extend_from_slice(d.fairness_matrix());
+    }
+    let mut labels = Vec::new();
+    if needs.labels {
+        labels.extend_from_slice(d.labels());
+    }
+    ShardSweep {
+        scores,
+        base,
+        fair_sums,
+        fairness,
+        labels,
+    }
+}
+
 /// Effective (bonus-adjusted) scores of every row, in global row order —
-/// per-shard scoring kernels concatenated in shard order.
+/// per-shard scoring sweeps concatenated in shard order.
 ///
 /// # Panics
 /// Panics if `bonus.len()` differs from the schema's fairness dimensionality.
@@ -50,109 +151,13 @@ where
         data.schema().num_fairness(),
         "bonus vector dimensionality mismatch"
     );
-    let nf = data.schema().num_features();
-    // Plain linear rankers run each shard as two blocked matrix passes; the
-    // per-row arithmetic is the same kernel::dot pair as the fallback, so
-    // both paths produce bit-identical scores.
-    let linear = ranker
-        .linear_weights()
-        .filter(|w| !w.is_empty() && w.len() == nf);
-    let per_shard = data.map_shards(|shard| {
-        let d = shard.data();
-        let mut scores = Vec::with_capacity(d.len());
-        if let Some(w) = linear {
-            crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
-            crate::kernel::add_dot_rows_into(d.fairness_matrix(), bonus.len(), bonus, &mut scores);
-        } else {
-            scores.extend((0..d.len()).map(|i| {
-                let base = match ranker.feature_score(d.feature_row(i)) {
-                    Some(score) => score,
-                    None => ranker.base_score(d.row(i)),
-                };
-                let increment = crate::kernel::dot(d.fairness_row(i), bonus);
-                base + increment
-            }));
-        }
-        scores
-    });
+    let per_shard = data
+        .map_shards(|shard| sweep_shard(shard.data(), ranker, bonus, SweepNeeds::default()).scores);
     out.clear();
     out.reserve(data.len());
     for scores in per_shard {
         out.extend_from_slice(&scores);
     }
-}
-
-/// Effective scores derived from already-computed base scores:
-/// `adjusted[i] = base[i] + fairness_row(i) · bonus`, per shard. Exactly the
-/// arithmetic of [`effective_scores`] (base term first, increment added
-/// once), so the result is bit-for-bit identical — at half the work, since
-/// the ranker is not re-run.
-///
-/// # Panics
-/// Panics if `base.len()` differs from `data.len()` or `bonus.len()` from
-/// the fairness dimensionality.
-#[must_use]
-pub fn adjust_base_scores<S>(data: &S, base: &[f64], bonus: &[f64]) -> Vec<f64>
-where
-    S: ShardSource + ?Sized,
-{
-    assert_eq!(base.len(), data.len(), "one base score per row required");
-    assert_eq!(
-        bonus.len(),
-        data.schema().num_fairness(),
-        "bonus vector dimensionality mismatch"
-    );
-    let per_shard = data.map_shards(|shard| {
-        let d = shard.data();
-        let mut scores = Vec::with_capacity(d.len());
-        if !d.is_empty() {
-            // Shards cover contiguous global ranges: seed with the base
-            // slice, then add the increments in one blocked pass. The add
-            // is the same kernel::dot per row as effective_scores'.
-            let offset = shard.global_index(0);
-            scores.extend_from_slice(&base[offset..offset + d.len()]);
-            crate::kernel::add_dot_rows_into(d.fairness_matrix(), bonus.len(), bonus, &mut scores);
-        }
-        scores
-    });
-    let mut out = Vec::with_capacity(data.len());
-    for scores in per_shard {
-        out.extend_from_slice(&scores);
-    }
-    out
-}
-
-/// Base (unadjusted) scores of every row, in global row order.
-#[must_use]
-pub fn base_scores<S, R>(data: &S, ranker: &R) -> Vec<f64>
-where
-    S: ShardSource + ?Sized,
-    R: Ranker + ?Sized,
-{
-    let nf = data.schema().num_features();
-    let linear = ranker
-        .linear_weights()
-        .filter(|w| !w.is_empty() && w.len() == nf);
-    let per_shard = data.map_shards(|shard| {
-        let d = shard.data();
-        let mut scores = Vec::with_capacity(d.len());
-        if let Some(w) = linear {
-            crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
-        } else {
-            scores.extend(
-                (0..d.len()).map(|i| match ranker.feature_score(d.feature_row(i)) {
-                    Some(score) => score,
-                    None => ranker.base_score(d.row(i)),
-                }),
-            );
-        }
-        scores
-    });
-    let mut out = Vec::with_capacity(data.len());
-    for scores in per_shard {
-        out.extend_from_slice(&scores);
-    }
-    out
 }
 
 /// A `u64` whose natural ascending order equals **descending**
@@ -168,6 +173,33 @@ pub(crate) fn descending_key(score: f64) -> u64 {
     let bits = score.to_bits();
     let ascending = bits ^ ((((bits as i64) >> 63) as u64) | 0x8000_0000_0000_0000);
     !ascending
+}
+
+/// Canonical sort keys `(descending_key(score), global position)` for a run
+/// of scores whose first row sits at global position `offset`.
+pub(crate) fn keyed(scores: &[f64], offset: usize) -> Vec<(u64, u64)> {
+    scores
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (descending_key(s), (offset + i) as u64))
+        .collect()
+}
+
+/// Shrink `keys` to its `m` smallest entries — the `m` best under the
+/// canonical order — in unspecified order.
+pub(crate) fn prune_best<T: Ord>(keys: &mut Vec<T>, m: usize) {
+    if m < keys.len() {
+        keys.select_nth_unstable(m);
+        keys.truncate(m);
+    }
+}
+
+/// Shrink `keys` to its `m` best entries, sorted best first: the canonical
+/// top-`m` every selection in the sharded layer ends with. Keys are unique
+/// (they carry the position), so the result is fully determined.
+pub(crate) fn keep_best<T: Ord>(keys: &mut Vec<T>, m: usize) {
+    prune_best(keys, m);
+    keys.sort_unstable();
 }
 
 /// The global positions of the `m` best scores, best first — exactly the
@@ -197,11 +229,6 @@ where
     if m == 0 {
         return Vec::new();
     }
-    let keyed = |range: std::ops::Range<usize>| -> Vec<(u64, u64)> {
-        range
-            .map(|p| (descending_key(scores[p]), p as u64))
-            .collect()
-    };
     // Per-shard candidate pruning only helps when the surviving candidate set
     // is materially smaller than the cohort.
     let num_shards = data.num_shards();
@@ -210,23 +237,15 @@ where
         let indices: Vec<usize> = (0..num_shards).collect();
         let per_shard = parallel_map(&indices, |&i| {
             let offset = data.shard_offset(i);
-            let mut local = keyed(offset..offset + data.shard_len(i));
-            let keep = m.min(local.len());
-            if keep < local.len() {
-                local.select_nth_unstable(keep);
-                local.truncate(keep);
-            }
+            let mut local = keyed(&scores[offset..offset + data.shard_len(i)], offset);
+            prune_best(&mut local, m);
             local
         });
         per_shard.into_iter().flatten().collect()
     } else {
-        keyed(0..n)
+        keyed(scores, 0)
     };
-    if m < candidates.len() {
-        candidates.select_nth_unstable(m);
-        candidates.truncate(m);
-    }
-    candidates.sort_unstable();
+    keep_best(&mut candidates, m);
     candidates
         .into_iter()
         .map(|(_, p)| usize::try_from(p).expect("positions fit usize"))
@@ -309,21 +328,6 @@ mod tests {
         let serial = crate::ranking::effective_scores(&view, &ranker, &[2.5]);
         let shardwise = effective_scores(&data, &ranker, &[2.5]);
         assert_eq!(serial, shardwise);
-        let serial_base = crate::ranking::base_scores(&view, &ranker);
-        assert_eq!(serial_base, base_scores(&data, &ranker));
-    }
-
-    #[test]
-    fn adjusting_base_scores_matches_scoring_from_scratch_bitwise() {
-        let data = sharded(53, 7);
-        let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let base = base_scores(&data, &ranker);
-        for bonus in [[0.0], [2.5], [-1.75]] {
-            let from_scratch = effective_scores(&data, &ranker, &bonus);
-            let adjusted = adjust_base_scores(&data, &base, &bonus);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&from_scratch), bits(&adjusted), "bonus {bonus:?}");
-        }
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! ```
 //!
 //! The engine methods ([`ShardSource::map_shards`],
-//! [`ShardSource::reduce_shards`], [`ShardSource::for_each_shard`]) run one
-//! closure per shard on [`crate::parallel_map`]'s scoped worker pool and
-//! always combine results **in shard order**, so evaluation is deterministic
+//! [`ShardSource::reduce_shards`]) run one closure per shard on
+//! [`crate::parallel_map`]'s scoped worker pool and always combine results
+//! **in shard order**, so evaluation is deterministic
 //! for a fixed shard size regardless of worker count, scheduling, or storage
 //! backend. Metrics written against this engine (see
 //! [`crate::metrics::sharded`]) are therefore parallel by construction —
@@ -235,15 +235,6 @@ pub trait ShardSource: Sync {
         self.with_shard(shard, |s| f(s.data().row(local)))
     }
 
-    /// Lend the fairness row at `global` index to `f`.
-    ///
-    /// # Panics
-    /// Panics if `global` is out of bounds.
-    fn with_fairness_row<T>(&self, global: usize, f: impl FnOnce(&[f64]) -> T) -> T {
-        let (shard, local) = self.locate(global);
-        self.with_shard(shard, |s| f(s.data().fairness_row(local)))
-    }
-
     // ------------------------------------------------------------------
     // The shard-wise evaluation engine.
     // ------------------------------------------------------------------
@@ -257,14 +248,6 @@ pub trait ShardSource: Sync {
     {
         let indices: Vec<usize> = (0..self.num_shards()).collect();
         parallel_map(&indices, |&i| self.with_shard(i, &f))
-    }
-
-    /// Run `f` on every shard (parallel, no results collected).
-    fn for_each_shard<F>(&self, f: F)
-    where
-        F: Fn(ShardView<'_>) + Sync,
-    {
-        self.map_shards(&f);
     }
 
     /// Map every shard in parallel, then fold the per-shard results **in
@@ -842,7 +825,6 @@ mod tests {
         }
         assert_eq!(sharded.feature_row(13), flat.feature_row(13));
         assert_eq!(sharded.fairness_row(13), flat.fairness_row(13));
-        sharded.with_fairness_row(13, |row| assert_eq!(row, flat.fairness_row(13)));
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl Catalog {
 /// order, so combining per-range partials by ascending range index is the
 /// same fold as combining per-shard partials by ascending shard index — the
 /// property the bit-identity contract of
-/// [`fair_core::dca::partial::combine_disparity_partials`] rests on.
+/// [`fair_core::metrics::sharded::combine_disparity_partials`] rests on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementMap {
     /// `ranges[w]` is the shard range owned by worker `w`.

@@ -11,7 +11,7 @@ use crate::error::{Result, ServeError};
 use crate::http::{read_response, MAX_BODY_BYTES};
 use crate::jobs::JobKind;
 use crate::json::Json;
-use fair_core::dca::partial::DisparityPartial;
+use fair_core::metrics::sharded::DisparityPartial;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
@@ -455,7 +455,7 @@ impl Client {
     /// `POST /stores/{name}/partials` with `kind: "disparity"`: this node's
     /// per-shard disparity partials over the shard range, decoded back into
     /// the engine's [`DisparityPartial`] type for
-    /// [`fair_core::dca::partial::combine_disparity_partials`].
+    /// [`fair_core::metrics::sharded::combine_disparity_partials`].
     ///
     /// # Errors
     /// I/O, protocol, or API errors.

@@ -4,8 +4,9 @@
 //! contiguous shard range of one cohort, fans partial-reduce requests
 //! (`POST /stores/{name}/partials`) out to the fleet, and combines the
 //! per-shard partials in ascending shard order through
-//! [`fair_core::dca::partial::combine_disparity_partials`] — so a fleet
-//! descent is **bit-identical** to the local
+//! [`fair_core::metrics::sharded::combine_disparity_partials`], which
+//! measures through the same selection and centroid steps as the local
+//! `MetricPlan` — so a fleet descent is **bit-identical** to the local
 //! [`run_full_dca_sharded`](fair_core::dca::run_full_dca_sharded) /
 //! [`run_core_dca_sharded`](fair_core::dca::run_core_dca_sharded)
 //! trajectory for the same seed, worker count and failures included.
@@ -44,11 +45,11 @@ use crate::backoff::Backoff;
 use crate::catalog::PlacementMap;
 use crate::client::Client;
 use crate::error::{Result, ServeError};
-use fair_core::dca::partial::{combine_disparity_partials, DisparityPartial};
 use fair_core::dca::{
     run_core_dca_gathered, run_full_descent, CoreDcaOutcome, FullDcaOutcome, RunControl,
     TopKDisparity,
 };
+use fair_core::metrics::sharded::{combine_disparity_partials, DisparityPartial};
 use fair_core::obs;
 use fair_core::ranking::{selection_size, WeightedSumRanker};
 use fair_core::{DataObject, DcaConfig, FairError, Schema, SchemaRef};

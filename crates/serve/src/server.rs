@@ -47,7 +47,7 @@ use crate::error::ApiError;
 use crate::http::{read_request, write_response, write_text_response, Request};
 use crate::jobs::{Job, JobKind, JobManager, JobSpec};
 use crate::json::Json;
-use fair_core::dca::partial::disparity_partials;
+use fair_core::kernel;
 use fair_core::metrics::sharded as shmetrics;
 use fair_core::metrics::LogDiscountConfig;
 use fair_core::obs;
@@ -453,29 +453,25 @@ impl AuditService {
         } else {
             // One shard pass for centroid sums *and* per-dimension group
             // counts: the trait helpers would each rescan (and, for a paged
-            // store, re-page) the whole cohort. Per-shard partials combine
-            // in shard order, so the centroid is bit-identical to
-            // `ShardSource::fairness_centroid`.
+            // store, re-page) the whole cohort. The per-shard sums use the
+            // same kernel and shard-order fold as
+            // `ShardSource::fairness_centroid`, so the centroid is
+            // bit-identical to it.
             let (sums, counts) = store.reduce_shards(
                 (vec![0.0_f64; dims], vec![0_usize; dims]),
                 |shard| {
-                    let d = shard.data();
-                    let mut sums = vec![0.0_f64; dims];
-                    let mut counts = vec![0_usize; dims];
-                    for i in 0..d.len() {
-                        for ((s, c), v) in sums.iter_mut().zip(&mut counts).zip(d.fairness_row(i)) {
-                            *s += v;
-                            if *v >= 0.5 {
-                                *c += 1;
-                            }
-                        }
+                    let matrix = shard.data().fairness_matrix();
+                    let mut sums = Vec::new();
+                    if dims > 0 {
+                        kernel::col_sums_into(matrix, dims, &mut sums);
                     }
+                    let counts: Vec<usize> = (0..dims)
+                        .map(|dim| kernel::count_ge_half(matrix, dims, dim))
+                        .collect();
                     (sums, counts)
                 },
                 |(mut sums, mut counts), (ps, pc)| {
-                    for (s, p) in sums.iter_mut().zip(&ps) {
-                        *s += p;
-                    }
+                    kernel::add_row(&mut sums, &ps);
                     for (c, p) in counts.iter_mut().zip(&pc) {
                         *c += p;
                     }
@@ -603,8 +599,9 @@ impl AuditService {
     /// retries safe.
     ///
     /// - `disparity`: per-shard fairness sums plus range-pruned top-`count`
-    ///   candidates (see [`fair_core::dca::partial`]); combined in shard
-    ///   order the result is bit-identical to a local evaluation.
+    ///   candidates (see [`fair_core::metrics::sharded::disparity_partials`]);
+    ///   combined in shard order the result is bit-identical to a local
+    ///   evaluation.
     /// - `core_sample`: the rows of the deterministic `(seed, sample_size)`
     ///   Core-DCA sample that fall in the range — the gather columns. The
     ///   sample is stratified per shard and drawn without replacement:
@@ -662,7 +659,7 @@ impl AuditService {
                 let count = body.get("count").and_then(Json::as_usize).ok_or_else(|| {
                     ApiError::bad_request("`count` (global selection size) is required")
                 })?;
-                let parts = disparity_partials(store, &ranker, &bonus, count, lo..hi)
+                let parts = shmetrics::disparity_partials(store, &ranker, &bonus, count, lo..hi)
                     .map_err(|e| ApiError::unprocessable(e.to_string()))?;
                 let shards = Json::Arr(
                     parts
@@ -1355,6 +1352,32 @@ mod tests {
     }
 
     #[test]
+    fn stats_centroid_is_bitwise_the_library_centroid() {
+        // Non-dyadic fairness values: per-shard sums only agree when they
+        // take the library's accumulation order.
+        let schema = fair_core::Schema::from_names(&["s"], &["g", "h"], &[]).unwrap();
+        let objects = (0..200_u64)
+            .map(|i| {
+                fair_core::DataObject::new_unchecked(
+                    i,
+                    vec![i as f64],
+                    vec![((i * 37) % 101) as f64 / 101.0, 0.1 * (i % 13) as f64],
+                    None,
+                )
+            })
+            .collect();
+        let data = fair_core::ShardedDataset::from_objects(schema, objects, 37).unwrap();
+        let service = AuditService::new();
+        let entry = service.catalog.register_memory("mixed", data).unwrap();
+        let (status, body) = service.route(&request("GET", "/stores/mixed/stats", ""));
+        assert_eq!(status, 200, "{}", body.render());
+        let wire = body.get("fairness_centroid").unwrap().as_f64_vec().unwrap();
+        let library = entry.store.fairness_centroid().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&wire), bits(&library));
+    }
+
+    #[test]
     fn health_reports_uptime_and_a_monotone_request_count() {
         let service = service_with_store(100);
         let (status, first) = service.route(&request("GET", "/health", ""));
@@ -1688,7 +1711,7 @@ mod tests {
         let weights = vec![1.0; entry.store.schema().num_features()];
         let ranker = WeightedSumRanker::new(weights).unwrap();
         let local =
-            fair_core::dca::disparity_partials(&entry.store, &ranker, &vec![0.0; dims], 20, 1..3)
+            shmetrics::disparity_partials(&entry.store, &ranker, &vec![0.0; dims], 20, 1..3)
                 .unwrap();
         for (wire, local) in shards.iter().zip(&local) {
             assert_eq!(wire.get("shard").unwrap().as_usize().unwrap(), local.shard);

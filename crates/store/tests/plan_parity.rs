@@ -7,7 +7,9 @@
 //!
 //! This is the contract the audit service relies on: a multi-metric request
 //! answered by one paged sweep must return exactly the numbers five separate
-//! sweeps — or a flat serial evaluation — would have returned.
+//! sweeps — or a flat serial evaluation — would have returned. The fleet's
+//! disparity partials, combined over several shard ranges, must return the
+//! plan's disparity too.
 
 use fair_core::metrics::sharded::{self as shmetrics, MetricKind, MetricPlan, MetricValue};
 use fair_core::metrics::LogDiscountConfig;
@@ -149,6 +151,40 @@ proptest! {
             bits_of(from_store.get(MetricKind::Disparity).unwrap()),
             vec_bits(&serial)
         );
+
+        // The fleet path: partials over two or three contiguous shard ranges,
+        // combined, equal the plan's disparity — in memory and over a paged
+        // store that re-pages every shard.
+        let count = selection_size(n, k).unwrap();
+        let shards = sharded.num_shards();
+        let cuts = [0, shards / 3, (2 * shards) / 3, shards];
+        let cold = ShardStore::open_with_options(&path, 0, prefetch).unwrap();
+        for cuts in [&cuts[..], &[0, shards / 2, shards]] {
+            let mut from_memory = Vec::new();
+            let mut from_cold = Vec::new();
+            for range in cuts.windows(2) {
+                from_memory.extend(
+                    shmetrics::disparity_partials(&sharded, &ranker, &bonus, count, range[0]..range[1])
+                        .unwrap(),
+                );
+                from_cold.extend(
+                    shmetrics::disparity_partials(&cold, &ranker, &bonus, count, range[0]..range[1])
+                        .unwrap(),
+                );
+            }
+            for partials in [&from_memory, &from_cold] {
+                let mut combined = Vec::new();
+                shmetrics::combine_disparity_partials(n, 2, count, partials, &mut combined)
+                    .unwrap();
+                prop_assert_eq!(
+                    bits_of(from_store.get(MetricKind::Disparity).unwrap()),
+                    vec_bits(&combined),
+                    "cuts {:?}",
+                    cuts
+                );
+            }
+        }
+        drop(cold);
 
         // Single-metric plans answer exactly like the full plan's entries —
         // request order and multiplicity never change the numbers.
